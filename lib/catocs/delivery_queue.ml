@@ -1,15 +1,24 @@
-type mode = Fifo_gap | Causal_full
+type mode = Fifo_gap | Causal_full | Origin_gap
 
 type 'a pending = { data : 'a Wire.data; arrived_at : Sim_time.t }
 
 let chaos_disable_causal_check = ref false
+
+(* the per-sender sequence a mode gates on: the stamp's own component, or
+   the PC/hybrid [origin_seq] under [Origin_gap] *)
+let seq_of mode (data : 'a Wire.data) =
+  match mode with
+  | Origin_gap -> Wire.sender_seq data
+  | Fifo_gap | Causal_full ->
+    Vector_clock.get data.Wire.vt data.Wire.sender_rank
 
 let condition_holds mode ~local (pending : 'a pending) =
   let data = pending.data in
   let sender = data.Wire.sender_rank in
   let msg = data.Wire.vt in
   match mode with
-  | Fifo_gap -> Vector_clock.get msg sender = Vector_clock.get local sender + 1
+  | Fifo_gap | Origin_gap ->
+    seq_of mode data = Vector_clock.get local sender + 1
   | Causal_full ->
     if !chaos_disable_causal_check then
       Vector_clock.get msg sender = Vector_clock.get local sender + 1
@@ -54,7 +63,7 @@ end
 (* ------------------------------------------------------------------------- *)
 (* Indexed implementation.
 
-   Both delivery conditions pin the message's per-sender sequence number to
+   Every delivery condition pins the message's per-sender sequence number to
    exactly [local(sender) + 1], so at any instant each sender has at most one
    candidate slot. Messages are bucketed per sender into a growable ring of
    sequence-number slots; a ready-candidate min-heap (keyed by arrival order,
@@ -251,7 +260,7 @@ module Indexed = struct
   (* --- interface ----------------------------------------------------------- *)
 
   let insert_entry t s (entry : 'a entry) =
-    let seq = Vector_clock.get entry.pending.data.Wire.vt s.rank in
+    let seq = seq_of t.mode entry.pending.data in
     ensure_slot s seq;
     let i = slot_index s seq in
     s.slots.(i) <- s.slots.(i) @ [ entry ];
@@ -297,7 +306,7 @@ module Indexed = struct
     end
 
   let remove_entry t s entry =
-    let seq = Vector_clock.get entry.pending.data.Wire.vt s.rank in
+    let seq = seq_of t.mode entry.pending.data in
     let i = slot_index s seq in
     (match s.slots.(i) with
     | [ e ] when e.arrival = entry.arrival -> s.slots.(i) <- []

@@ -10,7 +10,7 @@
 
     - {!Indexed} (the default): per-sender rings of sequence-number slots
       plus a ready-candidate heap and a blocked-on-component index, giving
-      O(log senders) amortized pops. Both delivery conditions pin a
+      O(log senders) amortized pops. Every delivery condition pins a
       message's sequence number to [local(sender) + 1], so each sender has
       at most one candidate slot at any instant.
     - {!Reference}: the original single pending list, rescanned in full on
@@ -24,6 +24,13 @@
 type mode =
   | Fifo_gap  (** deliver when [vt(sender) = local(sender) + 1] only *)
   | Causal_full  (** full Birman-Schiper-Stephenson condition *)
+  | Origin_gap
+      (** deliver when [Wire.sender_seq data = local(sender) + 1]: the
+          {!Fifo_gap} condition keyed on a PC/hybrid record's
+          [origin_seq] instead of its stamp, so the record's [vt] is never
+          read (a decoded PC copy carries no components). The PC-broadcast
+          stack's mode; on records whose [vt(sender)] equals their
+          [origin_seq] it delivers exactly like {!Fifo_gap}. *)
 
 type 'a pending = { data : 'a Wire.data; arrived_at : Sim_time.t }
 

@@ -138,14 +138,7 @@ let drain t ~peer ~delivered =
     while not (Queue.is_empty q) do
       let (data : 'a Wire.data) = Queue.pop q in
       let origin = data.Wire.sender_rank in
-      let seq =
-        match data.Wire.meta with
-        | Wire.Pc_meta { origin_seq } | Wire.Hybrid_meta { origin_seq } ->
-          origin_seq
-        | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta
-        | Wire.Lamport_meta _ ->
-          Vector_clock.get data.Wire.vt origin
-      in
+      let seq = Wire.sender_seq data in
       if needs_copy t ~peer ~origin ~seq then begin
         t.stats.drained <- t.stats.drained + 1;
         out := data :: !out

@@ -129,14 +129,6 @@ let forward_targets t ~from_rank ~origin_rank =
            then Some l.peer_rank
            else None)
 
-let origin_seq (data : 'a Wire.data) =
-  match data.Wire.meta with
-  | Wire.Pc_meta { origin_seq } | Wire.Hybrid_meta { origin_seq } ->
-    origin_seq
-  | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Lamport_meta _ ->
-    (* a misconfigured peer: fall back to the timestamp component *)
-    Vector_clock.get data.Wire.vt data.Wire.sender_rank
-
 (* The messages a freshly opened link's peer is missing, given the
    [delivered] vector its pong carried: exactly the unstable buffer filtered
    by per-origin delivered counts. Anything the peer lacks cannot have
@@ -147,5 +139,5 @@ let origin_seq (data : 'a Wire.data) =
 let missing_for ~delivered unstable =
   List.filter
     (fun (d : 'a Wire.data) ->
-      origin_seq d > Vector_clock.get delivered d.Wire.sender_rank)
+      Wire.sender_seq d > Vector_clock.get delivered d.Wire.sender_rank)
     unstable

@@ -64,8 +64,6 @@ val forward_targets : t -> from_rank:int -> origin_rank:int -> int list
 (** Open-link neighbors excluding the arrival link and the origin; empty
     when {!chaos_disable_forwarding} is set. *)
 
-val origin_seq : 'a Wire.data -> int
-
 val missing_for :
   delivered:Vector_clock.t -> 'a Wire.data list -> 'a Wire.data list
 (** Filter an unstable buffer (msg-id order) down to the messages a peer

@@ -1,9 +1,8 @@
 (* Releasing a stable message is identical bookkeeping in both
    implementations; only the strategy for *finding* newly stable messages
    differs. *)
-let release_message ~bytes_of ~metrics ~graph ~obs ~lag_histo ~now
+let release_message ~bytes ~metrics ~graph ~obs ~lag_histo ~now
     (data : 'a Wire.data) =
-  let bytes = bytes_of data in
   Metrics.note_unstable_removed metrics ~bytes;
   let lag_us =
     float_of_int (Sim_time.to_us (Sim_time.sub now data.Wire.sent_at))
@@ -67,8 +66,8 @@ module Reference = struct
     end;
     Group_clock.update_row t.matrix data.Wire.sender_rank data.Wire.vt
 
-  (* Fifo_gap-mode fast path: a PC/Hybrid stamp is nonzero only at the
-     sender's own component, so the sender-row merge is one diagonal cell. *)
+  (* PC/hybrid fast path: the record's only causal information is its
+     origin_seq, so the sender-row merge is one diagonal cell. *)
   let note_delivered_diag t (data : 'a Wire.data) =
     if not (Hashtbl.mem t.buffer data.Wire.msg_id) then begin
       Hashtbl.add t.buffer data.Wire.msg_id data;
@@ -78,23 +77,24 @@ module Reference = struct
     end;
     let sender = data.Wire.sender_rank in
     Group_clock.update_cell t.matrix sender sender
-      ~seq:(Vector_clock.get data.Wire.vt sender)
+      ~seq:(Wire.sender_seq data)
 
   let release_stable t ~now =
     let stable_ids =
       Hashtbl.fold
         (fun id (data : 'a Wire.data) acc ->
           let sender = data.Wire.sender_rank in
-          let seq = Vector_clock.get data.Wire.vt sender in
+          let seq = Wire.sender_seq data in
           if Group_clock.stable t.matrix ~sender ~seq then (id, data) :: acc
           else acc)
         t.buffer []
     in
     let release (id, data) =
       Hashtbl.remove t.buffer id;
-      t.bytes <- t.bytes - t.bytes_of data;
-      release_message ~bytes_of:t.bytes_of ~metrics:t.metrics ~graph:t.graph
-        ~obs:t.obs ~lag_histo:t.lag_histo ~now data
+      let bytes = t.bytes_of data in
+      t.bytes <- t.bytes - bytes;
+      release_message ~bytes ~metrics:t.metrics ~graph:t.graph ~obs:t.obs
+        ~lag_histo:t.lag_histo ~now data
     in
     List.iter release stable_ids
 
@@ -177,7 +177,7 @@ module Incremental = struct
 
   let note_sent_or_delivered t (data : 'a Wire.data) =
     let sender = data.Wire.sender_rank in
-    let seq = Vector_clock.get data.Wire.vt sender in
+    let seq = Wire.sender_seq data in
     if seq > t.highest.(sender) then begin
       t.highest.(sender) <- seq;
       Queue.push data t.pending.(sender);
@@ -189,12 +189,12 @@ module Incremental = struct
     Group_clock.update_row_tracked t.matrix sender data.Wire.vt
       ~advanced:(fun s -> mark_dirty t s)
 
-  (* Fifo_gap-mode fast path: a PC/Hybrid stamp is nonzero only at the
-     sender's own component, so the sender-row merge is one diagonal cell —
-     O(1) instead of the O(group) full-row classification pass. *)
+  (* PC/hybrid fast path: the record's only causal information is its
+     origin_seq, so the sender-row merge is one diagonal cell — O(1) instead
+     of the O(group) full-row classification pass. *)
   let note_delivered_diag t (data : 'a Wire.data) =
     let sender = data.Wire.sender_rank in
-    let seq = Vector_clock.get data.Wire.vt sender in
+    let seq = Wire.sender_seq data in
     if seq > t.highest.(sender) then begin
       t.highest.(sender) <- seq;
       Queue.push data t.pending.(sender);
@@ -224,12 +224,13 @@ module Incremental = struct
           while !go do
             match Queue.peek_opt q with
             | Some (data : 'a Wire.data)
-              when Vector_clock.get data.Wire.vt s <= min_seq ->
+              when Wire.sender_seq data <= min_seq ->
               ignore (Queue.pop q);
-              t.bytes <- t.bytes - t.bytes_of data;
+              let bytes = t.bytes_of data in
+              t.bytes <- t.bytes - bytes;
               t.count <- t.count - 1;
-              release_message ~bytes_of:t.bytes_of ~metrics:t.metrics
-                ~graph:t.graph ~obs:t.obs ~lag_histo:t.lag_histo ~now data
+              release_message ~bytes ~metrics:t.metrics ~graph:t.graph
+                ~obs:t.obs ~lag_histo:t.lag_histo ~now data
             | Some _ | None -> go := false
           done)
         dirty

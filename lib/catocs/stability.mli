@@ -44,7 +44,8 @@ val create :
     unstable-bytes gauges — default {!Wire.buffered_bytes} (the header
     estimate); the {!Config.Encoded} wire path passes
     {!Wire_codec.data_bytes} so gauges charge real encoded sizes. It must
-    be a pure function of the message (it is re-applied on release).
+    be a pure function of the message: it is applied once when the message
+    is buffered and once when it is released.
     [obs] is the telemetry log plus the owning process id: every release
     then emits an [Obs.Event.Span_stable] record alongside the
     [Metrics.stability_lag_us] sample. [registry] adds a
@@ -64,11 +65,12 @@ val note_sent_or_delivered : 'a t -> 'a Wire.data -> unit
     delivery condition guarantees this. *)
 
 val note_delivered_diag : 'a t -> 'a Wire.data -> unit
-(** {!note_sent_or_delivered} specialised to a Fifo_gap-mode message whose
-    timestamp is nonzero only at its sender's own component (PC/Hybrid
-    sparse stamps): the sender-row merge is a single diagonal cell, O(1)
-    instead of an O(group) row merge. Behavior is identical to
-    {!note_sent_or_delivered} on such messages. *)
+(** {!note_sent_or_delivered} specialised to a PC/hybrid record, whose only
+    causal information is its sender sequence ({!Wire.sender_seq}, the
+    meta's [origin_seq]): the sender-row merge is a single diagonal cell,
+    O(1) instead of an O(group) row merge, and the record's [vt] components
+    are never read. Behavior is identical to {!note_sent_or_delivered} on a
+    record whose stamp is nonzero only at its sender's own component. *)
 
 val observe_vc : 'a t -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
 (** Merge a member's reported vector clock and release newly stable

@@ -216,8 +216,9 @@ let queue_mode (config : Config.t) =
   if Config.pc_active config then
     (* PC-broadcast: FIFO links plus forward-on-first-delivery make each
        link's receive order causally consistent, so a per-origin contiguity
-       gate is all the delivery condition needs — no vector comparison *)
-    Delivery_queue.Fifo_gap
+       gate on [origin_seq] is all the delivery condition needs — no vector
+       comparison, and no read of the record's (decoded: empty) stamp *)
+    Delivery_queue.Origin_gap
   else
     match config.Config.ordering with
     | Config.Fifo | Config.Total_lamport -> Delivery_queue.Fifo_gap
@@ -490,12 +491,12 @@ let causal_deliver t (pending : 'a Delivery_queue.pending) =
   Hashtbl.add t.causal_seen data.Wire.msg_id ();
   (* Advance only the sender's component: in Causal_full mode this equals a
      full merge (the delivery condition guarantees vt(k) <= local(k) for
-     k <> sender); in Fifo_gap mode a full merge would overstate which
+     k <> sender); in the gap modes a full merge would overstate which
      messages from third parties we have delivered. *)
   let sender = data.Wire.sender_rank in
-  let sender_seq = Vector_clock.get data.Wire.vt sender in
+  let sender_seq = Wire.sender_seq data in
   Vector_clock.set t.vc sender sender_seq;
-  (* PC/Hybrid stamps are nonzero only at the sender's own component, so
+  (* A PC/Hybrid record's only causal information is its origin_seq, so
      both stability merges below collapse to single cells — the delivery
      hot path stays O(1) in group size instead of O(n) per message. *)
   (match data.Wire.meta with
@@ -541,7 +542,7 @@ let causal_deliver t (pending : 'a Delivery_queue.pending) =
             (* delivered-knowledge suppression: skip peers that provably
                already delivered this message (the copy would be dropped
                as a duplicate on arrival) *)
-            let seq = Pc_causal.origin_seq data in
+            let seq = Wire.sender_seq data in
             List.iter
               (fun r ->
                 if Hybrid_causal.needs_copy h ~peer:r ~origin:sender ~seq
@@ -633,7 +634,7 @@ let rec on_data t ?(src_rank = -1) (data : 'a Wire.data) =
   (match t.hybrid with
    | Some h when src_rank >= 0 && data.Wire.view_id = t.view.Group.view_id ->
      Hybrid_causal.note_copy h ~peer:src_rank ~origin:data.Wire.sender_rank
-       ~seq:(Pc_causal.origin_seq data)
+       ~seq:(Wire.sender_seq data)
    | _ -> ());
   if data.Wire.view_id > t.view.Group.view_id then
     t.future_proto <-
@@ -717,11 +718,12 @@ let make_data t payload =
   let vt, meta =
     match t.pc with
     | Some _ ->
-      (* PC mode: the wire carries only (origin, origin_seq). The in-memory
-         vt is sparse — just our own ticked component — which is exactly
-         what the delivery-queue gap check, causal_deliver's clock advance
-         and the stability sender-row merge read; any receiver could
-         reconstruct it locally, so it is not charged to header_bytes. *)
+      (* PC mode: the wire carries only (origin, origin_seq), and every
+         delivery-path read of the sender sequence takes origin_seq
+         (Wire.sender_seq). The in-memory vt is sparse — just our own
+         ticked component, which only the Section 5 causal graph reads at
+         this sender; receivers of an encoded copy see a shared all-zero
+         vector of the same size. It is not charged to header_bytes. *)
       let seq = Vector_clock.get t.vc t.rank + 1 in
       let vt = Vector_clock.create (Group.size t.view) in
       Vector_clock.set vt t.rank seq;

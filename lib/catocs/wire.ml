@@ -56,11 +56,17 @@ let header_bytes data =
   | Causal_meta | Seq_meta -> 8 + Vector_clock.encoded_size_bytes data.vt
   | Lamport_meta _ -> 16
   (* PC-broadcast and hybrid buffering carry only (origin, per-origin
-     sequence): constant in group size — the in-memory [vt] field is
-     receiver-reconstructible and never on the wire *)
+     sequence): constant in group size — the in-memory [vt] field carries
+     nothing a reader needs beyond the group size *)
   | Pc_meta _ | Hybrid_meta _ -> 16
 
 let buffered_bytes data = data.payload_bytes + header_bytes data
+
+let sender_seq data =
+  match data.meta with
+  | Pc_meta { origin_seq } | Hybrid_meta { origin_seq } -> origin_seq
+  | Fifo_meta | Causal_meta | Seq_meta | Lamport_meta _ ->
+    Vector_clock.get data.vt data.sender_rank
 
 let rec wire_bytes data =
   buffered_bytes data

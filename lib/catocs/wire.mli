@@ -19,11 +19,13 @@ type order_meta =
   | Pc_meta of { origin_seq : int }
       (** PC-broadcast causal delivery: the only wire-carried control
           information is the origin's per-view send sequence — O(1) in
-          group size. The [data.vt] field still exists in memory (sparse:
-          only the origin component is set) because the stability and graph
-          layers read it, but a receiver can reconstruct it locally from
-          [(origin, origin_seq)], so it is not charged to
-          {!header_bytes}. *)
+          group size. [origin_seq] is the single source of the record's
+          sender sequence ({!sender_seq}); no layer reads the [data.vt]
+          components of a PC record. [data.vt] only carries the group size
+          ({!Vector_clock.size}): the origin's own multicast stamps it
+          sparsely (its ticked component set), and a {!Wire_codec}-decoded
+          copy holds a shared all-zero vector of that size. It is not
+          charged to {!header_bytes}. *)
   | Hybrid_meta of { origin_seq : int }
       (** hybrid-buffering causal delivery: same constant wire metadata as
           {!Pc_meta} (the hybrid refinements — delivered-knowledge
@@ -43,7 +45,11 @@ type 'a data = {
   origin : Engine.pid;
   sender_rank : int;  (** rank in the view the message was sent in *)
   view_id : int;
-  vt : Vector_clock.t;  (** sender's vector timestamp at send *)
+  vt : Vector_clock.t;
+      (** sender's vector timestamp at send. Under [Pc_meta]/[Hybrid_meta]
+          only its size (the group size) is meaningful — see {!Pc_meta};
+          read the sender sequence through {!sender_seq}. Never mutate a
+          received record's [vt]: decoded PC copies share one vector. *)
   meta : order_meta;
   payload : 'a;
   payload_bytes : int;
@@ -95,6 +101,13 @@ val header_bytes : 'a data -> int
 val buffered_bytes : 'a data -> int
 (** Bytes this message occupies in a stability buffer (payload + header),
     excluding any piggybacked history. *)
+
+val sender_seq : 'a data -> int
+(** The record's per-sender sequence number: [origin_seq] under
+    [Pc_meta]/[Hybrid_meta], otherwise [vt] at [sender_rank]. Every
+    delivery-gate, clock-advance and stability read of a sender sequence
+    goes through this accessor, so a PC record never needs its [vt]
+    components. O(1). *)
 
 val wire_bytes : 'a data -> int
 (** Bytes on the wire including piggybacked predecessors. *)

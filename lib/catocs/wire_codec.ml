@@ -6,29 +6,28 @@ exception Corrupt of string
    placeholder views use id -1) go through zigzag; counts, lengths and
    vector-clock components are known non-negative and skip it. *)
 
-let write_uvarint buf u =
-  let rec go u =
-    let byte = u land 0x7f in
-    let rest = u lsr 7 in
-    if rest = 0 then Buffer.add_char buf (Char.chr byte)
-    else begin
-      Buffer.add_char buf (Char.chr (byte lor 0x80));
-      go rest
-    end
-  in
-  go u
+(* Top-level recursion rather than local [go] helpers: a local function
+   that captures the buffer or position is a heap-allocated closure on every
+   call (no flambda), and a 256-component gossip vector is 256 calls. *)
+let rec write_uvarint buf u =
+  let rest = u lsr 7 in
+  if rest = 0 then Buffer.add_char buf (Char.chr u)
+  else begin
+    Buffer.add_char buf (Char.chr ((u land 0x7f) lor 0x80));
+    write_uvarint buf rest
+  end
 
-let read_uvarint b pos =
-  let n = Bytes.length b in
-  let rec go shift acc count =
-    if count >= 10 then raise (Corrupt "varint longer than 10 bytes");
-    if !pos >= n then raise (Corrupt "truncated varint");
-    let byte = Char.code (Bytes.get b !pos) in
-    incr pos;
-    let acc = acc lor ((byte land 0x7f) lsl shift) in
-    if byte land 0x80 <> 0 then go (shift + 7) acc (count + 1) else acc
-  in
-  go 0 0 0
+let rec read_uvarint_from b pos ~shift ~acc ~count =
+  if count >= 10 then raise (Corrupt "varint longer than 10 bytes");
+  if !pos >= Bytes.length b then raise (Corrupt "truncated varint");
+  let byte = Char.code (Bytes.get b !pos) in
+  incr pos;
+  let acc = acc lor ((byte land 0x7f) lsl shift) in
+  if byte land 0x80 <> 0 then
+    read_uvarint_from b pos ~shift:(shift + 7) ~acc ~count:(count + 1)
+  else acc
+
+let read_uvarint b pos = read_uvarint_from b pos ~shift:0 ~acc:0 ~count:0
 
 let write_varint buf n = write_uvarint buf ((n lsl 1) lxor (n asr 62))
 
@@ -38,9 +37,10 @@ let read_varint b pos =
 
 (* mirror the writer's logical shift: a zigzagged int with bit 62 set wraps
    negative, and a signed [u < 0x80] test would undercount it as one byte *)
-let uvarint_size u =
-  let rec go u acc = if u lsr 7 = 0 then acc else go (u lsr 7) (acc + 1) in
-  go u 1
+let rec uvarint_size_from u acc =
+  if u lsr 7 = 0 then acc else uvarint_size_from (u lsr 7) (acc + 1)
+
+let uvarint_size u = uvarint_size_from u 1
 
 let varint_size n = uvarint_size ((n lsl 1) lxor (n asr 62))
 
@@ -79,6 +79,13 @@ type 'a t = {
          the sender's {e live} clock, which mutates under the same physical
          identity between rounds. *)
   mutable memo_blob : string;
+  mutable zero_vt : Vector_clock.t;
+      (* the [vt] every decoded PC/hybrid record shares: all-zero, of the
+         last decoded group size. Readers take the sender sequence from
+         [origin_seq] ([Wire.sender_seq]) and only the size from here, so
+         one vector per group size replaces an n-component allocation per
+         received copy — copies the stability buffer retains until they
+         are stable. *)
   body : Buffer.t;  (* scratch: frame body under construction *)
   frame : Buffer.t;  (* scratch: length-prefixed result *)
 }
@@ -87,7 +94,8 @@ let create payload =
   (* the sentinel is a private allocation no caller-held vector can be
      physically equal to, so the memo starts cold without an option *)
   { payload; memo_vt = Vector_clock.create 1; memo_blob = "";
-    body = Buffer.create 256; frame = Buffer.create 256 }
+    zero_vt = Vector_clock.create 1; body = Buffer.create 256;
+    frame = Buffer.create 256 }
 
 (* ------------------------------------------------------------------------- *)
 (* Vector timestamps: component count, then each component. *)
@@ -124,13 +132,15 @@ let read_vt b pos =
 
    Field order: msg_id, trace_id (delta), origin, sender_rank, view_id,
    meta, timestamp, payload_bytes, sent_at, payload, piggyback. The PC/hybrid constant-
-   metadata encodings ship only the group size in the timestamp slot: a
-   conforming stamp is nonzero solely at the sender's own component, whose
-   value the meta already carries as [origin_seq], so the receiver
-   reconstructs the vector. This is what makes the encoded wire cost of a
-   PC-broadcast message independent of group size (PAPERS: Nédelec 2018),
-   and it is a protocol invariant the codec {e assumes} — encoding a
-   non-conforming stamp under [Pc_meta]/[Hybrid_meta] would not round-trip. *)
+   metadata encodings ship only the group size in the timestamp slot: the
+   record's sender sequence is the meta's [origin_seq], and no reader looks
+   at a PC stamp's components ([Wire.sender_seq]). The decoder therefore
+   builds no vector at all — it hands out the codec's shared all-zero
+   vector of the shipped size. This is what makes the encoded wire cost of
+   a PC-broadcast message, and the receiver's per-copy work and retained
+   memory, independent of group size (PAPERS: Nédelec 2018). Only the
+   wire-carried fields round-trip; the sender's sparse in-memory stamp does
+   not. *)
 
 let meta_tag = function
   | Wire.Fifo_meta -> 0
@@ -165,8 +175,13 @@ let rec write_data t buf (d : _ Wire.data) =
   write_uvarint buf d.Wire.payload_bytes;
   write_varint buf (Sim_time.to_us d.Wire.sent_at);
   t.payload.encode_payload buf d.Wire.payload;
-  write_uvarint buf (List.length d.Wire.piggyback);
-  List.iter (write_data t buf) d.Wire.piggyback
+  (* the empty history — every record outside [Config.piggyback_history] —
+     skips building the partial application *)
+  match d.Wire.piggyback with
+  | [] -> write_uvarint buf 0
+  | piggyback ->
+    write_uvarint buf (List.length piggyback);
+    List.iter (write_data t buf) piggyback
 
 let rec read_data t b pos : _ Wire.data =
   let msg_id = read_varint b pos in
@@ -192,14 +207,14 @@ let rec read_data t b pos : _ Wire.data =
   in
   let vt =
     match meta with
-    | Wire.Pc_meta { origin_seq } | Wire.Hybrid_meta { origin_seq } ->
+    | Wire.Pc_meta _ | Wire.Hybrid_meta _ ->
       let n = read_uvarint b pos in
       if n > 1 lsl 24 then raise (Corrupt "implausible vector size");
-      let vt = Vector_clock.create n in
       if sender_rank < 0 || sender_rank >= n then
-        raise (Corrupt "sender rank outside reconstructed stamp");
-      Vector_clock.set vt sender_rank origin_seq;
-      vt
+        raise (Corrupt "sender rank outside the group size");
+      if Vector_clock.size t.zero_vt <> n then
+        t.zero_vt <- Vector_clock.create n;
+      t.zero_vt
     | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Lamport_meta _
       ->
       read_vt b pos
@@ -209,7 +224,9 @@ let rec read_data t b pos : _ Wire.data =
   let payload = t.payload.decode_payload b pos in
   let npiggy = read_uvarint b pos in
   if npiggy > 1 lsl 20 then raise (Corrupt "implausible piggyback count");
-  let piggyback = List.init npiggy (fun _ -> read_data t b pos) in
+  let piggyback =
+    if npiggy = 0 then [] else List.init npiggy (fun _ -> read_data t b pos)
+  in
   { Wire.msg_id; trace_id; origin; sender_rank; view_id; vt; meta; payload;
     payload_bytes; sent_at; piggyback }
 

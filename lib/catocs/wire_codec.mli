@@ -10,12 +10,21 @@
     where the body is a tag byte followed by LEB128 varints (zigzag for
     fields that may be negative, plain for counts/lengths/clock
     components). Vector timestamps are [count, component...]; a data
-    record under [Pc_meta]/[Hybrid_meta] ships only the count — the single
-    nonzero component is the meta's [origin_seq] at [sender_rank], which
-    the decoder reconstructs. That keeps PC-broadcast per-message metadata
-    constant in group size on the {e encoded} wire, not just in the
-    estimate, and relies on the protocol invariant that PC/hybrid stamps
-    are nonzero only at the sender's own component.
+    record under [Pc_meta]/[Hybrid_meta] ships only the count (the group
+    size, checked against [sender_rank]) — its sender sequence is the
+    meta's [origin_seq], which every reader takes through
+    {!Wire.sender_seq}. The decoder builds no stamp for such a record: its
+    [vt] is an all-zero vector of the shipped size, shared by every PC
+    record the codec instance decodes at that size (never mutate it). That
+    keeps PC-broadcast per-message metadata constant in group size on the
+    {e encoded} wire, and a decoded copy's allocation and retained memory
+    constant too. Only the wire-carried fields round-trip: the origin's
+    sparse in-memory stamp comes back as the shared zero vector.
+
+    The varint primitives are closure-free, so decoding one PC data frame
+    allocates the same number of words at every group size, and a gossip
+    vector of n components allocates its n-word result plus a constant
+    (pinned by [test/test_wire_codec.ml]).
 
     Timestamp snapshots are serialized once per multicast, not once per
     recipient: a one-slot cache keyed on physical identity reuses the
@@ -41,8 +50,8 @@ val string_payload : string payload_codec
 (** Length-prefixed raw bytes. *)
 
 type 'a t
-(** Codec instance: payload codec plus the timestamp memo and scratch
-    buffers. One per process (instances are not thread-safe; under the
+(** Codec instance: payload codec plus the timestamp memo, the shared
+    zero stamp of decoded PC records and scratch buffers. One per process (instances are not thread-safe; under the
     parallel engine each process — and so each codec — is owned by one
     domain). *)
 

@@ -475,6 +475,98 @@ let test_strict_directed () =
   in
   Alcotest.(check bool) "strict equivalence" true (strict_equiv s)
 
+(* --- directed: structural wire = encoded wire ------------------------------ *)
+
+(* The encoded wire must not change one PC delivery. A decoded copy carries
+   its sender sequence only as [origin_seq], next to a shared all-zero
+   stamp, and every delivery-path reader takes [origin_seq]. Setting: 64
+   members over a fanout-8 tree, FIFO links, sparse stability clock, no
+   batching — so both formats send the same packets and draw the same
+   latencies — with reactions for causal depth. Member 5 crashes
+   mid-traffic, after two gossip rounds have released part of every
+   stability buffer; the flush then re-sends the survivors' buffered records
+   through the codec and they re-decode them. Every member's log (origin,
+   payload, instant) must be byte-identical across the formats: a stability
+   release or delivery gate that read a decoded record's stamp instead of
+   its [origin_seq] breaks that. *)
+let wire_run ~wire_format =
+  let n = 64 and crashed = 5 in
+  let net =
+    Net.create ~latency:(Net.Uniform (Sim_time.us 500, Sim_time.ms 5)) ()
+  in
+  let engine = Engine.create ~seed:17L ~net () in
+  let config =
+    { (pc_config ~transport:Config.Fifo_order) with
+      Config.pc_overlay = Config.Pc_tree { fanout = 8 };
+      stability_clock = Config.Sparse_clock; wire_format;
+      batch_window = Sim_time.zero; track_graph = false }
+  in
+  let payload_codec =
+    match wire_format with
+    | Config.Encoded -> Some Repro_catocs.Wire_codec.int_payload
+    | Config.Structural -> None
+  in
+  let logs = Array.make n [] in
+  let stacks =
+    Stack.create_group ?payload_codec ~engine ~config
+      ~names:(List.init n (fun i -> Printf.sprintf "p%d" i))
+      ~make_callbacks:(fun _ -> Stack.null_callbacks) ()
+    |> Array.of_list
+  in
+  Array.iteri
+    (fun i stack ->
+      Stack.set_callbacks stack
+        { Stack.null_callbacks with
+          Stack.deliver =
+            (fun ~sender payload ->
+              logs.(i) <- (sender, payload, Engine.now engine) :: logs.(i);
+              if payload < reaction_base && (payload + i) mod 32 = 0 then
+                Stack.multicast stack (reaction_of ~trigger:payload ~member:i)) })
+    stacks;
+  (* six staggered rounds of one root multicast per member *)
+  Array.iteri
+    (fun i stack ->
+      for round = 0 to 5 do
+        let at = 1_000 + (i * 137 mod 10_000) + (round * 10_000) in
+        Engine.at engine ~owner:(Stack.self stack) (Sim_time.us at) (fun () ->
+            Stack.multicast stack ((round * n) + i))
+      done)
+    stacks;
+  Engine.at engine (Sim_time.ms 45) (fun () ->
+      Engine.crash engine (Stack.self stacks.(crashed)));
+  Engine.run ~until:(Sim_time.ms 400) engine;
+  let views = Array.map (fun st -> (Stack.view st).Group.view_id) stacks in
+  (Array.map List.rev logs, views)
+
+let test_structural_equals_encoded () =
+  let logs_s, views_s = wire_run ~wire_format:Config.Structural in
+  let logs_e, views_e = wire_run ~wire_format:Config.Encoded in
+  Alcotest.(check bool) "the crash installed a new view" true
+    (views_s.(0) > 0);
+  Alcotest.(check (array int)) "same views" views_s views_e;
+  let show_entry = function
+    | Some (o, p, t) -> Printf.sprintf "o%d/p%d@%d" o p t
+    | None -> "end of log"
+  in
+  Array.iteri
+    (fun i ls ->
+      let le = logs_e.(i) in
+      if ls <> le then begin
+        let rec first k = function
+          | a :: ra, b :: rb when a = b -> first (k + 1) (ra, rb)
+          | a, b -> (k, List.nth_opt a 0, List.nth_opt b 0)
+        in
+        let k, a, b = first 0 (ls, le) in
+        Alcotest.failf
+          "member %d logs first differ at delivery %d: structural %s, \
+           encoded %s"
+          i k (show_entry a) (show_entry b)
+      end)
+    logs_s;
+  (* the run is not vacuous: survivors delivered every root, reactions too *)
+  Alcotest.(check bool) "survivors delivered roots and reactions" true
+    (List.length logs_s.(0) > 6 * 64)
+
 let () =
   Alcotest.run "pc_equiv"
     [
@@ -487,5 +579,7 @@ let () =
           Alcotest.test_case "chaos: no forwarding inverts causality" `Quick
             test_no_forwarding_inverts_causality;
           Alcotest.test_case "strict directed interleaving" `Quick
-            test_strict_directed ] );
+            test_strict_directed;
+          Alcotest.test_case "structural = encoded wire: pc tree logs"
+            `Quick test_structural_equals_encoded ] );
     ]

@@ -2,9 +2,12 @@
    observationally identical to the reference single-list implementation —
    same take results (oldest deliverable arrival first), same lengths after
    every operation, same drain order — for arbitrary interleavings of
-   add / take_deliverable / drain / external clock advances, in both
-   delivery-condition modes, including duplicate sequence numbers and the
-   chaos fault-injection flag the mutation tests rely on. *)
+   add / take_deliverable / drain / external clock advances, in every
+   delivery-condition mode, including duplicate sequence numbers and the
+   chaos fault-injection flag the mutation tests rely on. A cross-mode
+   property pins [Origin_gap] on decoded PC records (sequence in
+   [origin_seq], all-zero [vt]) to [Fifo_gap] on the sparse stamps the PC
+   stack used to gate on. *)
 
 module DQ = Repro_catocs.Delivery_queue
 module Wire = Repro_catocs.Wire
@@ -16,14 +19,46 @@ type op =
   | Drain
   | Chaos of bool
 
-let mk ~msg_id ~rank ~vt =
+let mk_data ~msg_id ~rank ~vt ~meta =
   { DQ.data =
       { Wire.msg_id; trace_id = msg_id; origin = rank; sender_rank = rank;
-        view_id = 0;
-        vt = Vector_clock.of_list vt; meta = Wire.Causal_meta;
-        payload = msg_id; payload_bytes = 8; sent_at = Sim_time.zero;
-        piggyback = [] };
+        view_id = 0; vt; meta; payload = msg_id; payload_bytes = 8;
+        sent_at = Sim_time.zero; piggyback = [] };
     arrived_at = Sim_time.zero }
+
+(* A generated stamp as a BSS record: every component kept. *)
+let mk_vector ~msg_id ~rank ~vt =
+  mk_data ~msg_id ~rank ~vt:(Vector_clock.of_list vt) ~meta:Wire.Causal_meta
+
+(* The same stamp as a decoded PC record: the sender's component travels as
+   [origin_seq] and the vt is all zero, as the codec hands it out. *)
+let mk_decoded_pc ~msg_id ~rank ~vt =
+  mk_data ~msg_id ~rank
+    ~vt:(Vector_clock.create (List.length vt))
+    ~meta:(Wire.Pc_meta { origin_seq = List.nth vt rank })
+
+(* The same stamp as the PC origin's own sparse record: [origin_seq] and
+   the sender's component agree, every other component is zero. *)
+let mk_sparse_pc ~msg_id ~rank ~vt =
+  let seq = List.nth vt rank in
+  let sparse = Vector_clock.create (List.length vt) in
+  Vector_clock.set sparse rank seq;
+  mk_data ~msg_id ~rank ~vt:sparse ~meta:(Wire.Pc_meta { origin_seq = seq })
+
+(* What the stack does to its clock on delivery, per record family: a full
+   merge for vector stamps, a sender-component advance for PC records. *)
+let merge_vector local (d : int Wire.data) =
+  Vector_clock.merge_into local d.Wire.vt
+
+let advance_sender local (d : int Wire.data) =
+  let r = d.Wire.sender_rank in
+  Vector_clock.set local r (max (Vector_clock.get local r) (Wire.sender_seq d))
+
+type side = {
+  impl : DQ.impl;
+  mode : DQ.mode;
+  stamp : msg_id:int -> rank:int -> vt:int list -> int DQ.pending;
+}
 
 let ids ps = List.map (fun (p : int DQ.pending) -> p.DQ.data.Wire.msg_id) ps
 
@@ -34,17 +69,18 @@ let show_take = function
   | Some (p : int DQ.pending) ->
     Printf.sprintf "Some #%d" p.DQ.data.Wire.msg_id
 
-(* Execute one op sequence against both implementations in lockstep,
-   failing on the first observable divergence. *)
-let run_equiv mode n ops =
-  let qi = DQ.create ~impl:DQ.Indexed mode in
-  let qr = DQ.create ~impl:DQ.Reference mode in
+(* Execute one op sequence against two queues in lockstep, failing on the
+   first observable divergence. [advance] mirrors the stack's clock update
+   after a delivery. *)
+let run_pair ~advance a b n ops =
+  let qa = DQ.create ~impl:a.impl a.mode in
+  let qb = DQ.create ~impl:b.impl b.mode in
   let local = Vector_clock.create n in
   let next_id = ref 0 in
   let check_lengths ctx =
-    if DQ.length qi <> DQ.length qr then
-      QCheck.Test.fail_reportf "%s: length indexed=%d reference=%d" ctx
-        (DQ.length qi) (DQ.length qr)
+    if DQ.length qa <> DQ.length qb then
+      QCheck.Test.fail_reportf "%s: length a=%d b=%d" ctx (DQ.length qa)
+        (DQ.length qb)
   in
   Fun.protect
     ~finally:(fun () -> DQ.chaos_disable_causal_check := false)
@@ -57,42 +93,51 @@ let run_equiv mode n ops =
         (* keep the sender's own component >= 1 so deliverable messages
            actually occur; other components stay arbitrary *)
         let vt = List.mapi (fun i v -> if i = rank then max 1 v else v) comps in
-        let p = mk ~msg_id:!next_id ~rank ~vt in
-        DQ.add qi p;
-        DQ.add qr p;
+        DQ.add qa (a.stamp ~msg_id:!next_id ~rank ~vt);
+        DQ.add qb (b.stamp ~msg_id:!next_id ~rank ~vt);
         check_lengths "add"
       | Take ->
-        (match (DQ.take_deliverable qi ~local, DQ.take_deliverable qr ~local)
+        (match (DQ.take_deliverable qa ~local, DQ.take_deliverable qb ~local)
          with
         | None, None -> ()
-        | Some a, Some b
-          when a.DQ.data.Wire.msg_id = b.DQ.data.Wire.msg_id ->
-          (* the stack merges a delivered timestamp into its clock before
-             the next take; mirror that here *)
-          Vector_clock.merge_into local a.DQ.data.Wire.vt
-        | a, b ->
-          QCheck.Test.fail_reportf "take mismatch: indexed=%s reference=%s"
-            (show_take a) (show_take b));
+        | Some x, Some y
+          when x.DQ.data.Wire.msg_id = y.DQ.data.Wire.msg_id ->
+          (* the stack advances its clock before the next take *)
+          advance local x.DQ.data
+        | x, y ->
+          QCheck.Test.fail_reportf "take mismatch: a=%s b=%s" (show_take x)
+            (show_take y));
         check_lengths "take"
       | Bump c -> Vector_clock.set local c (Vector_clock.get local c + 1)
       | Drain ->
-        let a = ids (DQ.drain qi) and b = ids (DQ.drain qr) in
-        if a <> b then
-          QCheck.Test.fail_reportf "drain mismatch: indexed=[%s] reference=[%s]"
-            (show_ids a) (show_ids b);
+        let da = ids (DQ.drain qa) and db = ids (DQ.drain qb) in
+        if da <> db then
+          QCheck.Test.fail_reportf "drain mismatch: a=[%s] b=[%s]"
+            (show_ids da) (show_ids db);
         check_lengths "drain"
       | Chaos flag -> DQ.chaos_disable_causal_check := flag)
     ops;
-  let la = ids (DQ.to_list qi) and lb = ids (DQ.to_list qr) in
+  let la = ids (DQ.to_list qa) and lb = ids (DQ.to_list qb) in
   if la <> lb then
-    QCheck.Test.fail_reportf "to_list mismatch: indexed=[%s] reference=[%s]"
-      (show_ids la) (show_ids lb);
-  let da = ids (DQ.drain qi) and db = ids (DQ.drain qr) in
+    QCheck.Test.fail_reportf "to_list mismatch: a=[%s] b=[%s]" (show_ids la)
+      (show_ids lb);
+  let da = ids (DQ.drain qa) and db = ids (DQ.drain qb) in
   if da <> db then
-    QCheck.Test.fail_reportf
-      "final drain mismatch: indexed=[%s] reference=[%s]" (show_ids da)
-      (show_ids db);
+    QCheck.Test.fail_reportf "final drain mismatch: a=[%s] b=[%s]"
+      (show_ids da) (show_ids db);
   true
+
+(* indexed vs reference in one mode, on that mode's record family *)
+let run_equiv mode n ops =
+  let stamp, advance =
+    match mode with
+    | DQ.Origin_gap -> (mk_decoded_pc, advance_sender)
+    | DQ.Fifo_gap | DQ.Causal_full -> (mk_vector, merge_vector)
+  in
+  run_pair ~advance
+    { impl = DQ.Indexed; mode; stamp }
+    { impl = DQ.Reference; mode; stamp }
+    n ops
 
 let gen_ops n =
   QCheck.Gen.(
@@ -119,6 +164,19 @@ let equiv_test mode mode_name =
     ~count:300 (QCheck.make gen_case)
     (fun (n, ops) -> run_equiv mode n ops)
 
+(* The PC stack's switch from [Fifo_gap] on sparse stamps to [Origin_gap]
+   on [origin_seq] must not change one delivery: both indexed queues, same
+   interleavings, records built from the same stamps. *)
+let test_origin_gap_matches_fifo_gap =
+  QCheck.Test.make
+    ~name:"origin-gap on decoded PC records = fifo-gap on sparse stamps"
+    ~count:300 (QCheck.make gen_case)
+    (fun (n, ops) ->
+      run_pair ~advance:advance_sender
+        { impl = DQ.Indexed; mode = DQ.Origin_gap; stamp = mk_decoded_pc }
+        { impl = DQ.Indexed; mode = DQ.Fifo_gap; stamp = mk_sparse_pc }
+        n ops)
+
 (* Directed regression: a per-sender gap that fills late, duplicate sequence
    numbers, and an out-of-band clock advance — the specific wake paths the
    indexed implementation must get right. *)
@@ -143,7 +201,9 @@ let () =
       ( "differential",
         List.map QCheck_alcotest.to_alcotest
           [ equiv_test DQ.Fifo_gap "fifo-gap";
-            equiv_test DQ.Causal_full "causal-full" ] );
+            equiv_test DQ.Causal_full "causal-full";
+            equiv_test DQ.Origin_gap "origin-gap";
+            test_origin_gap_matches_fifo_gap ] );
       ( "directed",
         [ Alcotest.test_case "gap fill, duplicate, external bump" `Quick
             test_directed_gap_fill ] );

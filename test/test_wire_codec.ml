@@ -1,6 +1,8 @@
 (* Wire-codec correctness battery: qcheck encode/decode round-trip identity
    for every [Wire] variant (all six meta kinds, piggybacked history, every
-   proto constructor, the Direct envelope), plus strict-decoder rejection —
+   proto constructor, the Direct envelope) over the fields the wire
+   carries, allocation pins on the receive path, plus strict-decoder
+   rejection —
    every truncation of a valid frame, trailing garbage, unknown tags, and
    arbitrary byte soup must raise [Wire_codec.Corrupt], never return a
    mangled value or escape with another exception. *)
@@ -19,9 +21,9 @@ let gen_vt =
     int_range 1 8 >>= fun n ->
     list_size (return n) (int_range 0 1000) >|= Vector_clock.of_list)
 
-(* A conforming PC/hybrid stamp is nonzero only at the sender's own
-   component — a protocol invariant the codec assumes (the wire carries
-   just [origin_seq]; the receiver reconstructs the vector). *)
+(* A PC/hybrid stamp as the origin builds it: nonzero only at the sender's
+   own component. The wire carries just the group size and [origin_seq];
+   the decoder hands out an all-zero vector of that size. *)
 let gen_pc_stamp =
   Gen.(
     int_range 1 8 >>= fun n ->
@@ -131,14 +133,26 @@ let meta_equal (a : Wire.order_meta) (b : Wire.order_meta) =
   | Wire.Hybrid_meta x, Wire.Hybrid_meta y -> x.origin_seq = y.origin_seq
   | _ -> false
 
+(* What the wire carries of a record's stamp: every component under the
+   vector metas; only the group size under PC/hybrid, whose sender
+   sequence is the meta's [origin_seq] (compared by [meta_equal] and again
+   through [Wire.sender_seq], the accessor every reader uses). *)
+let stamp_equal (a : int Wire.data) (b : int Wire.data) =
+  match a.Wire.meta with
+  | Wire.Pc_meta _ | Wire.Hybrid_meta _ ->
+    Vector_clock.size a.Wire.vt = Vector_clock.size b.Wire.vt
+    && Wire.sender_seq a = Wire.sender_seq b
+  | Wire.Fifo_meta | Wire.Causal_meta | Wire.Seq_meta | Wire.Lamport_meta _ ->
+    Vector_clock.equal a.Wire.vt b.Wire.vt
+
 let rec data_equal (a : int Wire.data) (b : int Wire.data) =
   a.Wire.msg_id = b.Wire.msg_id
   && a.Wire.trace_id = b.Wire.trace_id
   && a.Wire.origin = b.Wire.origin
   && a.Wire.sender_rank = b.Wire.sender_rank
   && a.Wire.view_id = b.Wire.view_id
-  && Vector_clock.equal a.Wire.vt b.Wire.vt
   && meta_equal a.Wire.meta b.Wire.meta
+  && stamp_equal a b
   && a.Wire.payload = b.Wire.payload
   && a.Wire.payload_bytes = b.Wire.payload_bytes
   && Sim_time.compare a.Wire.sent_at b.Wire.sent_at = 0
@@ -320,6 +334,85 @@ let test_pc_constant_metadata () =
   Alcotest.(check int) "pc cost flat 4 -> 64" (pc 4) (pc 64);
   Alcotest.(check bool) "bss cost grows 4 -> 64" true (bss 64 > bss 4)
 
+(* --- allocation pins --------------------------------------------------------- *)
+
+(* Words allocated on the minor heap by [f ()]: exact and deterministic in
+   native code. The two [Gc.minor_words] calls box one float each, a
+   constant that cancels out of every comparison below. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  let after = Gc.minor_words () in
+  ignore (Sys.opaque_identity r);
+  int_of_float (after -. before)
+
+let pc_frame ~n =
+  Wire.Proto
+    ( 1,
+      Wire.Data
+        { Wire.msg_id = 77; trace_id = 77; origin = 3; sender_rank = 3;
+          view_id = 2;
+          vt =
+            (let vt = Vector_clock.create n in
+             Vector_clock.set vt 3 41;
+             vt);
+          meta = Wire.Pc_meta { origin_seq = 41 }; payload = 42;
+          payload_bytes = 256; sent_at = Sim_time.us 1_000; piggyback = [] } )
+
+let test_pc_decode_alloc_flat () =
+  (* A received PC copy costs the same words at every group size: no
+     varint closure and no n-component stamp per decoded record. The first
+     decode at a size sets up the codec's shared zero vector; the second is
+     the steady state a receiver sees. *)
+  let words n =
+    let t = codec () in
+    let frame = Wire_codec.encode t (pc_frame ~n) in
+    ignore (Wire_codec.decode t frame);
+    minor_words_of (fun () -> Wire_codec.decode t frame)
+  in
+  let w4 = words 4 in
+  Alcotest.(check int) "decode words n=256 = n=4" w4 (words 256);
+  Alcotest.(check int) "decode words n=4096 = n=4" w4 (words 4096);
+  (* and the decoded record still answers the wire-carried fields *)
+  let t = codec () in
+  match Wire_codec.decode t (Wire_codec.encode t (pc_frame ~n:4096)) with
+  | Wire.Proto (_, Wire.Data d) ->
+    Alcotest.(check int) "group size" 4096 (Vector_clock.size d.Wire.vt);
+    Alcotest.(check int) "sender seq" 41 (Wire.sender_seq d)
+  | _ -> Alcotest.fail "PC frame did not decode to a data record"
+
+let test_gossip_alloc_linear () =
+  (* Encoding allocates the frame string (about one byte per component);
+     decoding allocates the received vector (one word per component). Each
+     side is pinned at its payload plus a constant: any per-component
+     overhead, such as a closure per varint, breaks the bound at n=4096. *)
+  let slack = 32 in
+  List.iter
+    (fun n ->
+      let vc = Vector_clock.create n in
+      for i = 0 to n - 1 do
+        Vector_clock.set vc i (i * 7)
+      done;
+      let w =
+        Wire.Proto (1, Wire.Gossip { view_id = 2; rank = 0; vc; lamport = 9 })
+      in
+      let t = codec () in
+      let frame = Wire_codec.encode t w in
+      ignore (Wire_codec.decode t frame);
+      let enc = minor_words_of (fun () -> Wire_codec.encode t w) in
+      let dec = minor_words_of (fun () -> Wire_codec.decode t frame) in
+      let frame_words = (String.length frame / 8) + 1 in
+      if enc > frame_words + slack then
+        Alcotest.failf "encode of a %d-component gossip allocated %d words" n
+          enc;
+      if dec > n + slack then
+        Alcotest.failf "decode of a %d-component gossip allocated %d words" n
+          dec;
+      if enc + dec > n + frame_words + (2 * slack) then
+        Alcotest.failf "gossip round trip at n=%d allocated %d words" n
+          (enc + dec))
+    [ 4; 256; 4096 ]
+
 (* --- suite ---------------------------------------------------------------- *)
 
 let () =
@@ -343,4 +436,9 @@ let () =
       ( "metadata",
         [ Alcotest.test_case "pc constant wire cost" `Quick
             test_pc_constant_metadata ] );
+      ( "alloc",
+        [ Alcotest.test_case "pc decode flat in group size" `Quick
+            test_pc_decode_alloc_flat;
+          Alcotest.test_case "gossip linear in components" `Quick
+            test_gossip_alloc_linear ] );
     ]
