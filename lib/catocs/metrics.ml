@@ -1,10 +1,8 @@
 type t = {
   mutable multicasts_sent : int;
-  mutable data_received : int;
   mutable delivered : int;
-  delivery_delay_us : Stats.Summary.t;
-  transit_us : Stats.Summary.t;
-  stability_lag_us : Stats.Summary.t;
+  mutable ordering_wait_total_us : int;
+  mutable transit_total_us : int;
   mutable delayed_messages : int;
   mutable unstable_bytes : int;
   mutable unstable_count : int;
@@ -19,13 +17,18 @@ type t = {
 }
 
 let create () =
-  { multicasts_sent = 0; data_received = 0; delivered = 0;
-    delivery_delay_us = Stats.Summary.create ();
-    transit_us = Stats.Summary.create ();
-    stability_lag_us = Stats.Summary.create (); delayed_messages = 0;
+  { multicasts_sent = 0; delivered = 0; ordering_wait_total_us = 0;
+    transit_total_us = 0; delayed_messages = 0;
     unstable_bytes = 0; unstable_count = 0; peak_unstable_bytes = 0;
     peak_unstable_count = 0; control_messages = 0; flush_messages = 0; header_bytes = 0;
     dropped_at_view_change = 0; suppressed_us = 0; view_changes = 0 }
+
+let mean_of total t =
+  if t.delivered = 0 then Float.nan
+  else float_of_int total /. float_of_int t.delivered
+
+let mean_ordering_wait_us t = mean_of t.ordering_wait_total_us t
+let mean_transit_us t = mean_of t.transit_total_us t
 
 let note_unstable_added t ~bytes =
   t.unstable_bytes <- t.unstable_bytes + bytes;
@@ -40,12 +43,11 @@ let note_unstable_removed t ~bytes =
   t.unstable_count <- t.unstable_count - 1
 
 let merge_into acc m =
-  Stats.Summary.merge acc.delivery_delay_us m.delivery_delay_us;
-  Stats.Summary.merge acc.transit_us m.transit_us;
-  Stats.Summary.merge acc.stability_lag_us m.stability_lag_us;
   acc.multicasts_sent <- acc.multicasts_sent + m.multicasts_sent;
-  acc.data_received <- acc.data_received + m.data_received;
   acc.delivered <- acc.delivered + m.delivered;
+  acc.ordering_wait_total_us <-
+    acc.ordering_wait_total_us + m.ordering_wait_total_us;
+  acc.transit_total_us <- acc.transit_total_us + m.transit_total_us;
   acc.delayed_messages <- acc.delayed_messages + m.delayed_messages;
   acc.unstable_bytes <- acc.unstable_bytes + m.unstable_bytes;
   acc.unstable_count <- acc.unstable_count + m.unstable_count;

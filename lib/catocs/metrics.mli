@@ -1,21 +1,20 @@
-(** Per-member protocol metrics.
+(** Per-member protocol metrics: exact, always-on counters.
 
     These quantify exactly what Sections 3.4 and 5 of the paper argue about:
     delivery delay (including false-causality delay), buffering for
     unstable messages, per-message ordering-header overhead, control traffic,
-    and send suppression during view changes. *)
+    and send suppression during view changes. Latency distributions live
+    in the stack's registry ({!Config.metrics}); this record keeps exact
+    totals, so means are [total / delivered]. *)
 
 type t = {
   mutable multicasts_sent : int;
-  mutable data_received : int;
   mutable delivered : int;
-  delivery_delay_us : Stats.Summary.t;
-      (** receive -> deliver: time spent blocked in ordering queues *)
-  transit_us : Stats.Summary.t;  (** send -> deliver, end to end *)
-  stability_lag_us : Stats.Summary.t;
-      (** send -> local stability detection: how long each message stayed in
-          the unstable buffer before the matrix clock proved it received
-          everywhere (Section 5's buffering argument, in time units) *)
+  mutable ordering_wait_total_us : int;
+      (** sum over deliveries of receive -> deliver: time spent blocked in
+          ordering queues *)
+  mutable transit_total_us : int;
+      (** sum over deliveries of send -> deliver, end to end *)
   mutable delayed_messages : int;
       (** messages that had to wait in an ordering queue *)
   mutable unstable_bytes : int;
@@ -35,12 +34,15 @@ type t = {
 
 val create : unit -> t
 
+val mean_ordering_wait_us : t -> float
+(** [ordering_wait_total_us / delivered]; [nan] before the first delivery. *)
+
+val mean_transit_us : t -> float
+(** [transit_total_us / delivered]; [nan] before the first delivery. *)
+
 val note_unstable_added : t -> bytes:int -> unit
 val note_unstable_removed : t -> bytes:int -> unit
 
 val merge_into : t -> t -> unit
-(** [merge_into acc m] accumulates counters (sums counts and bytes, keeps
-    peak maxima) and folds the three latency summaries into [acc] via
-    {!Stats.Summary.merge}, so group-level totals report delay/transit/
-    stability-lag distributions over every member's messages. [m] is left
-    unmodified. *)
+(** [merge_into acc m] accumulates counters into [acc]: sums counts, bytes
+    and latency totals, and keeps peak maxima. [m] is left unmodified. *)

@@ -4,11 +4,11 @@
 let release_message ~bytes ~metrics ~graph ~obs ~lag_histo ~now
     (data : 'a Wire.data) =
   Metrics.note_unstable_removed metrics ~bytes;
-  let lag_us =
-    float_of_int (Sim_time.to_us (Sim_time.sub now data.Wire.sent_at))
-  in
-  Stats.Summary.add metrics.Metrics.stability_lag_us lag_us;
-  Repro_obs.Histo.add lag_histo lag_us;
+  (match lag_histo with
+   | Some h ->
+     Repro_obs.Histo.add h
+       (float_of_int (Sim_time.to_us (Sim_time.sub now data.Wire.sent_at)))
+   | None -> ());
   (match obs with
    | Some (log, pid) ->
      Repro_obs.Log.span_stable log ~at:now ~uid:data.Wire.msg_id ~pid
@@ -20,13 +20,16 @@ let release_message ~bytes ~metrics ~graph ~obs ~lag_histo ~now
 (* Shared registry cells: send-to-stable lag distribution, and a count of
    cached matrix-minima advances (the incremental tracker's release driver;
    the reference implementation rescans instead of tracking advances, so it
-   reports zero). *)
+   reports zero). No enabled registry, no lag histogram. *)
 let register_cells registry =
   let registry =
     match registry with Some r -> r | None -> Repro_obs.Registry.null ()
   in
-  ( Repro_obs.Registry.histogram registry ~layer:Repro_obs.Event.Stability
-      ~name:"stability_lag_us" (),
+  ( (if Repro_obs.Registry.enabled registry then
+       Some
+         (Repro_obs.Registry.histogram registry
+            ~layer:Repro_obs.Event.Stability ~name:"stability_lag_us" ())
+     else None),
     Repro_obs.Registry.counter registry ~layer:Repro_obs.Event.Stability
       ~name:"minima_advances" () )
 
@@ -44,7 +47,7 @@ module Reference = struct
     metrics : Metrics.t;
     graph : Causality.t option;
     obs : (Repro_obs.Log.t * int) option;
-    lag_histo : Repro_obs.Histo.t;
+    lag_histo : Repro_obs.Histo.t option;
     mutable bytes : int;
   }
 
@@ -149,7 +152,7 @@ module Incremental = struct
     metrics : Metrics.t;
     graph : Causality.t option;
     obs : (Repro_obs.Log.t * int) option;
-    lag_histo : Repro_obs.Histo.t;
+    lag_histo : Repro_obs.Histo.t option;
     reg_minima : Repro_obs.Registry.counter;
     mutable count : int;
     mutable bytes : int;

@@ -47,13 +47,13 @@ val create :
     be a pure function of the message: it is applied once when the message
     is buffered and once when it is released.
     [obs] is the telemetry log plus the owning process id: every release
-    then emits an [Obs.Event.Span_stable] record alongside the
-    [Metrics.stability_lag_us] sample. [registry] adds a
-    [stability/stability_lag_us] histogram fed on every release and a
+    then emits an [Obs.Event.Span_stable] record. [registry] adds a
+    [stability/stability_lag_us] histogram of send-to-stable lags ([now]
+    at release minus the message's send time) and a
     [stability/minima_advances] counter bumped each time a cached matrix
     minimum advances (the incremental tracker's release driver; the
     reference implementation rescans instead, so it leaves the counter at
-    zero). *)
+    zero). Without an enabled [registry] no lag is recorded anywhere. *)
 
 val impl_of : 'a t -> impl
 
@@ -74,8 +74,9 @@ val note_delivered_diag : 'a t -> 'a Wire.data -> unit
 
 val observe_vc : 'a t -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
 (** Merge a member's reported vector clock and release newly stable
-    messages; each release records its send-to-stability lag ([now] minus
-    the message's send time) into [Metrics.stability_lag_us]. *)
+    messages; each release feeds its send-to-stability lag ([now] minus
+    the message's send time) to the [stability/stability_lag_us] histogram
+    of an enabled [registry]. *)
 
 val self_observe : 'a t -> rank:int -> now:Sim_time.t -> Vector_clock.t -> unit
 (** Update our own row (rank = self). *)

@@ -255,6 +255,12 @@ let view t = t.view
 let rank t = t.rank
 let metrics t = t.metrics
 let registry t = t.cells.registry
+
+let merged_snapshot stacks =
+  Repro_obs.Registry.merge_all
+    (Array.to_list
+       (Array.map (fun t -> Repro_obs.Registry.snapshot t.cells.registry) stacks))
+
 let vector_clock t = t.vc
 let unstable_count t = Stability.unstable_count t.stability
 let unstable_bytes t = Stability.unstable_bytes t.stability
@@ -439,12 +445,13 @@ let final_deliver t (pending : 'a Delivery_queue.pending) =
     t.metrics.Metrics.delivered <- t.metrics.Metrics.delivered + 1;
     let now = Engine.now t.engine in
     let wait = Sim_time.sub now pending.Delivery_queue.arrived_at in
-    Stats.Summary.add t.metrics.Metrics.delivery_delay_us (float_of_int wait);
-    Stats.Summary.add t.metrics.Metrics.transit_us
-      (float_of_int (Sim_time.sub now data.Wire.sent_at));
+    let transit = Sim_time.sub now data.Wire.sent_at in
+    t.metrics.Metrics.ordering_wait_total_us <-
+      t.metrics.Metrics.ordering_wait_total_us + wait;
+    t.metrics.Metrics.transit_total_us <-
+      t.metrics.Metrics.transit_total_us + transit;
     if Repro_obs.Registry.enabled t.cells.registry then
-      Repro_obs.Histo.add t.cells.delivery_latency
-        (float_of_int (Sim_time.sub now data.Wire.sent_at));
+      Repro_obs.Histo.add t.cells.delivery_latency (float_of_int transit);
     if wait > 0 then
       t.metrics.Metrics.delayed_messages <- t.metrics.Metrics.delayed_messages + 1;
     (* the label is formatted eagerly, so skip it entirely when tracing is
@@ -627,7 +634,6 @@ let rec on_data t ?(src_rank = -1) (data : 'a Wire.data) =
   (* piggybacked predecessors are just data messages: feed them through the
      same path (duplicates are dropped by the delivered/seen-ids check) *)
   List.iter (fun d -> on_data t d) data.Wire.piggyback;
-  t.metrics.Metrics.data_received <- t.metrics.Metrics.data_received + 1;
   (* hybrid delivered-knowledge: every copy arriving from a peer — first
      copy or duplicate alike — proves the peer delivered it before
      sending *)

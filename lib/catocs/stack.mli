@@ -108,6 +108,10 @@ val registry : 'a t -> Repro_obs.Registry.t
     stack was created with [Config.metrics = true]. Per-stack instances
     from one group [Registry.merge] into domain-count-independent totals. *)
 
+val merged_snapshot : 'a t array -> Repro_obs.Registry.snapshot
+(** The group total: every stack's registry snapshot, merged. Empty when
+    metrics are off. *)
+
 val chaos_drop_forward_copy_metric : bool ref
 (** Test-only fault injection: when set, PC forward copies are still sent
     (and still logged as hops) but the [ordering/forward_copies] counter is

@@ -44,8 +44,8 @@ let gossip_measure ~seed ~group_size ~period_ms =
       let m = Stack.metrics stack in
       peak := max !peak m.Metrics.peak_unstable_bytes;
       control := !control + m.Metrics.control_messages;
-      if Stats.Summary.count m.Metrics.delivery_delay_us > 0 then
-        Stats.Summary.add delay (Stats.Summary.mean m.Metrics.delivery_delay_us))
+      if m.Metrics.delivered > 0 then
+        Stats.Summary.add delay (Metrics.mean_ordering_wait_us m))
     stacks;
   { gossip_period_ms = period_ms;
     peak_node_unstable_bytes = !peak;
@@ -124,8 +124,8 @@ let piggyback_measure ~seed ~piggyback ~drop =
       delivered := !delivered + m.Metrics.delivered;
       overhead := !overhead + m.Metrics.header_bytes;
       multicasts := !multicasts + m.Metrics.multicasts_sent;
-      if Stats.Summary.count m.Metrics.delivery_delay_us > 0 then
-        Stats.Summary.add wait (Stats.Summary.mean m.Metrics.delivery_delay_us))
+      if m.Metrics.delivered > 0 then
+        Stats.Summary.add wait (Metrics.mean_ordering_wait_us m))
     stacks;
   { variant = (if piggyback then "causal + history piggyback" else "causal (delay)");
     drop;

@@ -1,5 +1,6 @@
 module Config = Repro_catocs.Config
 module Stack = Repro_catocs.Stack
+module Metrics = Repro_catocs.Metrics
 module Wire = Repro_catocs.Wire
 module Transport = Repro_catocs.Transport
 module Shop_floor = Repro_apps.Shop_floor
@@ -14,6 +15,7 @@ type fig1_outcome = {
   deliveries : (int * string list) list;  (* member index, delivery order *)
   registry_snapshot : Repro_obs.Registry.snapshot;
       (* merged over the three stacks; empty unless ~metrics:true *)
+  metrics : Metrics.t;  (* merged over the three stacks *)
 }
 
 let fig1_run ?(engine_impl = Engine.Sequential) ?obs ?recorder
@@ -91,12 +93,11 @@ let fig1_run ?(engine_impl = Engine.Sequential) ?obs ?recorder
       Trace.render_diagram ~exclude_substrings:[ "gossip"; "ack" ] ~limit:80
         (Engine.trace engine) ~names:[| "P"; "Q"; "R" |];
     deliveries = List.init 3 (fun i -> (i, List.rev deliveries.(i)));
-    registry_snapshot =
-      Repro_obs.Registry.merge_all
-        (Array.to_list
-           (Array.map
-              (fun s -> Repro_obs.Registry.snapshot (Stack.registry s))
-              stacks)) }
+    registry_snapshot = Stack.merged_snapshot stacks;
+    metrics =
+      (let acc = Metrics.create () in
+       Array.iter (fun s -> Metrics.merge_into acc (Stack.metrics s)) stacks;
+       acc) }
 
 let fig1_causal_order () = (fig1_run ()).diagram
 

@@ -7,6 +7,8 @@ type fig1_outcome = {
   registry_snapshot : Repro_obs.Registry.snapshot;
       (** merged protocol-metrics snapshot over the three stacks; empty
           unless the run was created with [~metrics:true] *)
+  metrics : Repro_catocs.Metrics.t;
+      (** the three stacks' always-on counters, merged *)
 }
 
 val fig1_run :

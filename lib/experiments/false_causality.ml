@@ -18,7 +18,8 @@ let measure ~seed ~group_size ~ordering ~jitter_max_ms =
     Net.create ~latency:(Net.Uniform (500, jitter_max_ms * 1_000)) ()
   in
   let engine = Engine.create ~seed ~net () in
-  let config = { Config.default with Config.ordering } in
+  (* the registry supplies the transit p99: a group-wide distribution *)
+  let config = { Config.default with Config.ordering; metrics = true } in
   let stacks =
     Stack.create_group ~engine ~config
       ~names:(List.init group_size (fun i -> Printf.sprintf "p%d" i))
@@ -38,7 +39,6 @@ let measure ~seed ~group_size ~ordering ~jitter_max_ms =
     stacks;
   Engine.run ~until:(Sim_time.add (Sim_time.seconds 1) (Sim_time.ms 500)) engine;
   let wait = Stats.Summary.create () in
-  let transit = Stats.Summary.create () in
   let delivered = ref 0 and delayed = ref 0 in
   let header_bytes = ref 0 and multicasts = ref 0 in
   Array.iter
@@ -48,16 +48,20 @@ let measure ~seed ~group_size ~ordering ~jitter_max_ms =
       delayed := !delayed + m.Metrics.delayed_messages;
       header_bytes := !header_bytes + m.Metrics.header_bytes;
       multicasts := !multicasts + m.Metrics.multicasts_sent;
-      if Stats.Summary.count m.Metrics.delivery_delay_us > 0 then
-        Stats.Summary.add wait (Stats.Summary.mean m.Metrics.delivery_delay_us);
-      if Stats.Summary.count m.Metrics.transit_us > 0 then
-        Stats.Summary.add transit
-          (Stats.Summary.percentile m.Metrics.transit_us 0.99))
+      if m.Metrics.delivered > 0 then
+        Stats.Summary.add wait (Metrics.mean_ordering_wait_us m))
     stacks;
+  let transit =
+    Repro_obs.Registry.histo (Stack.merged_snapshot stacks)
+      ~layer:Repro_obs.Event.Ordering ~name:"delivery_latency_us"
+  in
   { ordering; jitter_max_ms;
     mean_queue_wait_us = Stats.Summary.mean wait;
     delayed_fraction = float_of_int !delayed /. float_of_int (max 1 !delivered);
-    transit_p99_us = Stats.Summary.mean transit;
+    transit_p99_us =
+      (match transit with
+       | Some h -> Repro_obs.Histo.percentile h 0.99
+       | None -> Float.nan);
     header_bytes_per_msg =
       float_of_int !header_bytes
       /. float_of_int (max 1 (!multicasts * (group_size - 1))) }

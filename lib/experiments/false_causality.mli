@@ -13,6 +13,8 @@ type point = {
   mean_queue_wait_us : float;  (** time messages sat in ordering queues *)
   delayed_fraction : float;  (** messages that waited at all *)
   transit_p99_us : float;
+      (** group p99 of send -> deliver: the merged per-stack
+          [ordering/delivery_latency_us] registry histograms *)
   header_bytes_per_msg : float;
 }
 

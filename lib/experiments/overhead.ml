@@ -39,8 +39,8 @@ let measure ~seed ~ordering ~group_size =
       header_bytes := !header_bytes + m.Metrics.header_bytes;
       control := !control + m.Metrics.control_messages;
       multicasts := !multicasts + m.Metrics.multicasts_sent;
-      if Stats.Summary.count m.Metrics.delivery_delay_us > 0 then
-        Stats.Summary.add delay (Stats.Summary.mean m.Metrics.delivery_delay_us))
+      if m.Metrics.delivered > 0 then
+        Stats.Summary.add delay (Metrics.mean_ordering_wait_us m))
     stacks;
   let sends = max 1 (!multicasts * (group_size - 1)) in
   { ordering; group_size;

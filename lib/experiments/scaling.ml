@@ -142,23 +142,15 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
       system_bytes := !system_bytes + m.Metrics.peak_unstable_bytes;
       header_bytes := !header_bytes + m.Metrics.header_bytes;
       app_deliveries := !app_deliveries + m.Metrics.delivered;
-      let mean = Stats.Summary.mean m.Metrics.delivery_delay_us in
+      let mean = Metrics.mean_ordering_wait_us m in
       if not (Float.is_nan mean) then Stats.Summary.add delay mean;
-      let mean_transit = Stats.Summary.mean m.Metrics.transit_us in
+      let mean_transit = Metrics.mean_transit_us m in
       if not (Float.is_nan mean_transit) then Stats.Summary.add transit mean_transit)
     stacks;
   (* per-stack registries are private to their lanes, so merging the
      snapshots after the run is parallel-safe (and, being a sorted merge of
      commutative samples, domain-count independent) *)
-  let snapshot =
-    if metrics then
-      Repro_obs.Registry.merge_all
-        (Array.to_list
-           (Array.map
-              (fun s -> Repro_obs.Registry.snapshot (Stack.registry s))
-              stacks))
-    else []
-  in
+  let snapshot = Stack.merged_snapshot stacks in
   let counter layer name =
     Repro_obs.Registry.counter_total snapshot ~layer ~name
   in

@@ -17,6 +17,11 @@
     dependence), so exports are golden-file testable and diffable across
     runs. *)
 
+val escape : string -> string
+(** [s] as the body of a JSON string literal: quote and backslash get a
+    backslash, newline/tab/return their short escapes, other control
+    characters [\u00XX]. The one escaper of every JSON exporter here. *)
+
 val chrome_trace : ?names:(int * string) list -> Log.t -> string
 (** [names] maps pids to display names for track labels (unlisted pids show
     as [p<pid>]). *)

@@ -1,5 +1,6 @@
-(** Online statistics used by every experiment: counters, summaries
-    (mean/variance/min/max/percentiles) and fixed-width histograms. *)
+(** Online statistics for the apps and experiment drivers: counters,
+    summaries (mean/variance/min/max/percentiles) and fixed-width
+    histograms. Protocol latency distributions live in the obs registry. *)
 
 module Summary : sig
   type t

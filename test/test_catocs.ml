@@ -24,10 +24,10 @@ type world = {
 
 let make_world ?(n = 3) ?(ordering = Config.Causal)
     ?(latency = Net.Uniform (500, 5_000)) ?(seed = 1L) ?(drop = 0.0)
-    ?(transport = Config.Bare) () =
+    ?(transport = Config.Bare) ?(metrics = false) () =
   let net = Net.create ~latency ~drop_probability:drop () in
   let engine = Engine.create ~seed ~net () in
-  let config = { Config.default with Config.ordering; transport } in
+  let config = { Config.default with Config.ordering; transport; metrics } in
   let stacks =
     Stack.create_group ~engine ~config
       ~names:(List.init n (fun i -> Printf.sprintf "p%d" i))
@@ -234,10 +234,13 @@ let test_stability_drains_buffers () =
         (Stack.unstable_count stack))
     w.stacks
 
+let registry_histogram stack layer name =
+  Repro_obs.Registry.histogram (Stack.registry stack) ~layer ~name ()
+
 let test_stability_lag_metric () =
   (* every released message contributes one send->stable lag sample, and the
      lag can never be smaller than one network traversal *)
-  let w = make_world ~n:3 ~latency:(Net.Fixed 500) () in
+  let w = make_world ~n:3 ~latency:(Net.Fixed 500) ~metrics:true () in
   for k = 1 to 10 do
     Stack.multicast w.stacks.(k mod 3) k
   done;
@@ -245,16 +248,40 @@ let test_stability_lag_metric () =
   Array.iteri
     (fun i stack ->
       let lag =
-        (Stack.metrics stack).Repro_catocs.Metrics.stability_lag_us
+        registry_histogram stack Repro_obs.Event.Stability "stability_lag_us"
       in
       check_int
         (Printf.sprintf "member %d sampled all messages" i)
         10
-        (Stats.Summary.count lag);
+        (Repro_obs.Histo.count lag);
       check_bool
         (Printf.sprintf "member %d lag exceeds one hop" i)
         true
-        (Stats.Summary.min lag >= 500.0))
+        (Repro_obs.Histo.min lag >= 500.0))
+    w.stacks
+
+let test_metrics_off_histograms_empty () =
+  (* with Config.metrics off, releases and deliveries must not feed any
+     latency histogram, not even the registry's scrap cell *)
+  let w = make_world ~n:3 ~latency:(Net.Fixed 500) () in
+  for k = 1 to 10 do
+    Stack.multicast w.stacks.(k mod 3) k
+  done;
+  run w (Sim_time.seconds 1);
+  Array.iteri
+    (fun i stack ->
+      check_int (Printf.sprintf "member %d released everything" i) 0
+        (Stack.unstable_count stack);
+      check_int (Printf.sprintf "member %d delivered everything" i) 10
+        (Stack.metrics stack).Repro_catocs.Metrics.delivered;
+      List.iter
+        (fun (layer, name) ->
+          check_int
+            (Printf.sprintf "member %d %s empty" i name)
+            0
+            (Repro_obs.Histo.count (registry_histogram stack layer name)))
+        [ (Repro_obs.Event.Stability, "stability_lag_us");
+          (Repro_obs.Event.Ordering, "delivery_latency_us") ])
     w.stacks
 
 let test_metrics_header_overhead () =
@@ -1081,6 +1108,8 @@ let () =
           Alcotest.test_case "buffers drain" `Quick test_stability_drains_buffers;
           Alcotest.test_case "stability lag sampled" `Quick
             test_stability_lag_metric;
+          Alcotest.test_case "metrics off: histograms empty" `Quick
+            test_metrics_off_histograms_empty;
           Alcotest.test_case "header overhead" `Quick test_metrics_header_overhead;
         ] );
       ( "view-change",

@@ -125,6 +125,29 @@ let test_false_causality_ordering_costs () =
     (fifo.E.False_causality.header_bytes_per_msg
      < causal.E.False_causality.header_bytes_per_msg)
 
+(* E5 as the table prints it (8 members, seed 21) at its widest jitter:
+   queue wait ranks fifo <= causal < total-seq, and the registry-derived
+   transit p99 is a real number for every ordering. *)
+let test_false_causality_e5_trend () =
+  let points = E.False_causality.sweep ~jitters_ms:[ 30 ] () in
+  let find ordering =
+    List.find (fun p -> p.E.False_causality.ordering = ordering) points
+  in
+  let fifo = find Repro_catocs.Config.Fifo in
+  let causal = find Repro_catocs.Config.Causal in
+  let total = find Repro_catocs.Config.Total_sequencer in
+  let wait p = p.E.False_causality.mean_queue_wait_us in
+  check_bool "fifo <= causal" true (wait fifo <= wait causal);
+  check_bool "causal < total-seq" true (wait causal < wait total);
+  List.iter
+    (fun p ->
+      check_bool
+        (Repro_catocs.Config.ordering_name p.E.False_causality.ordering
+        ^ " transit p99 finite")
+        true
+        (Float.is_finite p.E.False_causality.transit_p99_us))
+    points
+
 (* --- overhead --------------------------------------------------------------------- *)
 
 let test_overhead_header_formula () =
@@ -327,6 +350,8 @@ let () =
         [
           Alcotest.test_case "ordering costs ranked" `Slow
             test_false_causality_ordering_costs;
+          Alcotest.test_case "e5 trend at 30ms jitter" `Slow
+            test_false_causality_e5_trend;
         ] );
       ( "overhead",
         [ Alcotest.test_case "header formula" `Slow test_overhead_header_formula ] );

@@ -355,7 +355,27 @@ let test_json_golden () =
   check_golden ~golden:"golden/fig1_metrics.json" ~regen:metrics_regen json;
   (match Repro_analyze.Json.of_string json with
    | Ok _ -> ()
-   | Error e -> Alcotest.failf "metrics JSON does not parse: %s" e)
+   | Error e -> Alcotest.failf "metrics JSON does not parse: %s" e);
+  (* a name with every kind of control character round-trips through the
+     exporter's escaping and a real JSON parser *)
+  let name = "q\"b\\s\nn\tt\rr\001x" in
+  let r = Registry.create () in
+  Registry.incr (Registry.counter r ~layer:Event.Ordering ~name ());
+  let json = Registry.to_json (Registry.snapshot r) in
+  let module Json = Repro_analyze.Json in
+  let parsed_name =
+    match Json.of_string json with
+    | Error e -> Alcotest.failf "control-character JSON does not parse: %s" e
+    | Ok doc ->
+      Option.bind (Json.member "metrics" doc) Json.to_list
+      |> Option.map (List.filter_map (Json.member "name"))
+      |> Option.map (List.filter_map Json.to_str)
+  in
+  Alcotest.(check (option (list string))) "control-character name" (Some [ name ])
+    parsed_name;
+  Alcotest.(check string) "short escapes used"
+    {|{"schema_version":1,"metrics":[{"layer":"ordering","name":"q\"b\\s\nn\tt\rr\u0001x","labels":{},"type":"counter","value":1}]}|}
+    json
 
 (* --- dissemination trees ----------------------------------------------------- *)
 

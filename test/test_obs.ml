@@ -1,6 +1,7 @@
 (* Telemetry subsystem tests: ring-buffer log semantics, exact span
    partitioning (qcheck), the bounded histogram against exact summaries,
-   reservoir-sampled Stats.Summary, metrics merging, structured-event
+   reservoir-sampled Stats.Summary, metrics merging and the Metrics totals
+   cross-checked against the spans, structured-event
    ingestion into the analyzer, and golden-file exporter output for the
    Figure 1-4 scenario traces. *)
 
@@ -10,6 +11,7 @@ module Span = Repro_obs.Span
 module Export = Repro_obs.Export
 module Histo = Repro_obs.Histo
 module Telemetry = Repro_experiments.Telemetry
+module Diagrams = Repro_experiments.Diagrams
 module Metrics = Repro_catocs.Metrics
 module Exec = Repro_analyze.Exec
 
@@ -95,6 +97,25 @@ let test_span_partition_fig1 () =
           e (t + o)
       | _ -> Alcotest.fail "fig1 span missing lifecycle timestamps")
     spans
+
+(* The always-on Metrics totals and the obs spans record the same
+   deliveries: their latency sums must agree exactly. *)
+let test_metrics_totals_match_spans () =
+  let log = Log.create () in
+  let m = (Diagrams.fig1_run ~obs:log ()).Diagrams.metrics in
+  let spans = Span.of_log log in
+  let total f =
+    List.fold_left
+      (fun acc sp -> acc + Option.value (f sp) ~default:0)
+      0 spans
+  in
+  Alcotest.(check int) "one span per delivery" m.Metrics.delivered
+    (List.length
+       (List.filter (fun sp -> Option.is_some sp.Span.delivered_at) spans));
+  Alcotest.(check int) "ordering wait total" (total Span.ordering_wait_us)
+    m.Metrics.ordering_wait_total_us;
+  Alcotest.(check int) "transit total" (total Span.end_to_end_us)
+    m.Metrics.transit_total_us
 
 let test_span_incomplete () =
   let log = Log.create () in
@@ -254,23 +275,21 @@ let test_summary_merge_overflow () =
 
 let test_metrics_merge_summaries () =
   let acc = Metrics.create () and m = Metrics.create () in
-  Stats.Summary.add acc.Metrics.delivery_delay_us 10.0;
-  Stats.Summary.add m.Metrics.delivery_delay_us 30.0;
-  Stats.Summary.add m.Metrics.transit_us 7.0;
-  Stats.Summary.add m.Metrics.stability_lag_us 5.0;
+  acc.Metrics.delivered <- 1;
+  acc.Metrics.ordering_wait_total_us <- 10;
+  acc.Metrics.transit_total_us <- 4;
   m.Metrics.delivered <- 2;
+  m.Metrics.ordering_wait_total_us <- 50;
+  m.Metrics.transit_total_us <- 7;
   Metrics.merge_into acc m;
-  Alcotest.(check int) "delay count merged" 2
-    (Stats.Summary.count acc.Metrics.delivery_delay_us);
-  Alcotest.(check (float 1e-9)) "delay mean merged" 20.0
-    (Stats.Summary.mean acc.Metrics.delivery_delay_us);
-  Alcotest.(check int) "transit count merged" 1
-    (Stats.Summary.count acc.Metrics.transit_us);
-  Alcotest.(check int) "stability count merged" 1
-    (Stats.Summary.count acc.Metrics.stability_lag_us);
-  Alcotest.(check int) "counters still merged" 2 acc.Metrics.delivered;
-  Alcotest.(check int) "source untouched" 1
-    (Stats.Summary.count m.Metrics.delivery_delay_us)
+  Alcotest.(check int) "wait total merged" 60 acc.Metrics.ordering_wait_total_us;
+  Alcotest.(check (float 1e-9)) "wait mean merged" 20.0
+    (Metrics.mean_ordering_wait_us acc);
+  Alcotest.(check int) "transit total merged" 11 acc.Metrics.transit_total_us;
+  Alcotest.(check int) "counters still merged" 3 acc.Metrics.delivered;
+  Alcotest.(check int) "source untouched" 50 m.Metrics.ordering_wait_total_us;
+  Alcotest.(check bool) "mean of nothing is nan" true
+    (Float.is_nan (Metrics.mean_transit_us (Metrics.create ())))
 
 (* --- structured-event ingestion into the analyzer ---------------------------- *)
 
@@ -343,6 +362,8 @@ let () =
         [ QCheck_alcotest.to_alcotest span_partition_qcheck;
           Alcotest.test_case "fig1 partition exact" `Quick
             test_span_partition_fig1;
+          Alcotest.test_case "fig1 metrics totals match spans" `Quick
+            test_metrics_totals_match_spans;
           Alcotest.test_case "incomplete lifecycles" `Quick
             test_span_incomplete ] );
       ( "histo",

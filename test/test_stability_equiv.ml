@@ -16,6 +16,8 @@
 module S = Repro_catocs.Stability
 module Wire = Repro_catocs.Wire
 module Metrics = Repro_catocs.Metrics
+module Registry = Repro_obs.Registry
+module Histo = Repro_obs.Histo
 
 type op =
   | Send of int  (* member multicasts (and self-delivers immediately) *)
@@ -38,8 +40,15 @@ let show_ids l = String.concat "," (List.map string_of_int l)
 
 let run_equiv n ops =
   let metrics_i = Metrics.create () and metrics_r = Metrics.create () in
-  let inc = S.Incremental.create ~group_size:n ~metrics:metrics_i ~graph:None () in
-  let re = S.Reference.create ~group_size:n ~metrics:metrics_r ~graph:None () in
+  let registry_i = Registry.create () and registry_r = Registry.create () in
+  let inc =
+    S.Incremental.create ~registry:registry_i ~group_size:n ~metrics:metrics_i
+      ~graph:None ()
+  in
+  let re =
+    S.Reference.create ~registry:registry_r ~group_size:n ~metrics:metrics_r
+      ~graph:None ()
+  in
   let dvc = Array.init n (fun _ -> Vector_clock.create n) in
   let in_flight = ref [] in
   let next_id = ref 0 in
@@ -139,19 +148,19 @@ let run_equiv n ops =
       check "catch-up gossip"
     done
   done;
-  let lag m = m.Metrics.stability_lag_us in
-  if Stats.Summary.count (lag metrics_i) <> Stats.Summary.count (lag metrics_r)
-  then
+  let lag r =
+    Registry.histogram r ~layer:Repro_obs.Event.Stability
+      ~name:"stability_lag_us" ()
+  in
+  let lag_i = lag registry_i and lag_r = lag registry_r in
+  if Histo.count lag_i <> Histo.count lag_r then
     QCheck.Test.fail_reportf "release count mismatch inc=%d ref=%d"
-      (Stats.Summary.count (lag metrics_i))
-      (Stats.Summary.count (lag metrics_r));
+      (Histo.count lag_i) (Histo.count lag_r);
   (* lags are integral microseconds, so the sums are exact in float and
      equal iff the (msg, release-time) multisets are *)
-  if Stats.Summary.sum (lag metrics_i) <> Stats.Summary.sum (lag metrics_r)
-  then
+  if Histo.sum lag_i <> Histo.sum lag_r then
     QCheck.Test.fail_reportf "release-time sum mismatch inc=%.0f ref=%.0f"
-      (Stats.Summary.sum (lag metrics_i))
-      (Stats.Summary.sum (lag metrics_r));
+      (Histo.sum lag_i) (Histo.sum lag_r);
   true
 
 let gen_ops n =
