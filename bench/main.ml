@@ -11,7 +11,7 @@
    blocked/unstable backlog) and the wire codec (ns/encode, ns/decode and
    real bytes/msg for bss vs pc frames), plus two end-to-end curve
    families from the Section 5 scaling experiment: the "queue" family
-   (indexed vs reference delivery queue, n = 4/16/64/256/512) and the
+   (the list delivery queue under BSS, n = 4/16/64/256/512) and the
    "causal" family (BSS vector timestamps vs PC-broadcast constant
    metadata vs hybrid buffering — the per-delivery metadata curve that is
    linear for bss and flat for pc/hybrid; bss runs the dense stability
@@ -23,9 +23,9 @@
    capped at n = 256 — the n = 1024 bss point needs ~20 GB for the
    group's O(n^2) matrix clocks and lives in the committed full-mode
    baseline).
-   [--out FILE] overrides the output path. [--validate FILE] checks the schema, pins the
-   within-family delivery agreement and the pc/hybrid metadata flatness,
-   and with [--baseline FILE] additionally fails on a >30%
+   [--out FILE] overrides the output path. [--validate FILE] checks the
+   schema and pins the pc/hybrid metadata flatness, and with
+   [--baseline FILE] additionally fails on a >30%
    deliveries-per-cpu-second or peak-unstable-bytes regression at any
    (impl, group size) present in both files. The schema is documented in
    EXPERIMENTS.md. *)
@@ -136,21 +136,16 @@ let microbenchmarks () =
 (* ------------------------------------------------------------------ *)
 
 let json_float f =
-  if Float.is_nan f || Float.is_integer (f /. 0.) then "null"
-  else Printf.sprintf "%.3f" f
-
-let impl_name = function
-  | Delivery_queue.Indexed -> "indexed"
-  | Delivery_queue.Reference -> "reference"
+  if not (Float.is_finite f) then "null" else Printf.sprintf "%.3f" f
 
 (* Steady-state delivery-queue cycle: one deliverable message from sender 0
    is added and immediately taken, on top of [blocked] messages that can
    never become deliverable (a per-sender FIFO gap: their sequence numbers
-   skip local+1). The reference implementation rescans the blocked backlog
-   on every take; the indexed one never revisits it. *)
-let queue_cycle_bench ~impl ~senders ~blocked =
+   skip local+1). The deliverable message arrives last, so every take scans
+   the whole blocked backlog first. *)
+let queue_cycle_bench ~senders ~blocked =
   let open Bechamel in
-  let q = Delivery_queue.create ~impl Delivery_queue.Causal_full in
+  let q = Delivery_queue.create Delivery_queue.Causal_full in
   let local = Vector_clock.create senders in
   let mk ~rank ~vt =
     { Delivery_queue.data =
@@ -171,9 +166,7 @@ let queue_cycle_bench ~impl ~senders ~blocked =
     Delivery_queue.add q (mk ~rank ~vt)
   done;
   let seq = ref 0 in
-  let name =
-    Printf.sprintf "dq-add-take/%s/n%d/b%d" (impl_name impl) senders blocked
-  in
+  let name = Printf.sprintf "dq-add-take/list/n%d/b%d" senders blocked in
   Test.make ~name
     (Staged.stage (fun () ->
          let s = !seq + 1 in
@@ -348,18 +341,12 @@ let micro_section ~smoke =
     else [ (4, 0); (16, 0); (64, 0); (64, 256); (256, 1024) ]
   in
   let dq_specs =
-    List.concat_map
-      (fun impl ->
-        List.map
-          (fun (senders, blocked) ->
-            let name =
-              Printf.sprintf "dq-add-take/%s/n%d/b%d" (impl_name impl) senders
-                blocked
-            in
-            (name, impl_name impl, senders, blocked,
-             queue_cycle_bench ~impl ~senders ~blocked))
-          dq_configs)
-      [ Delivery_queue.Indexed; Delivery_queue.Reference ]
+    List.map
+      (fun (senders, blocked) ->
+        let name = Printf.sprintf "dq-add-take/list/n%d/b%d" senders blocked in
+        (name, "list", senders, blocked,
+         queue_cycle_bench ~senders ~blocked))
+      dq_configs
   in
   let stab_specs =
     List.concat_map
@@ -430,55 +417,46 @@ let e2e_section ~engine_impl ~smoke =
     else if n <= 256 then Sim_time.ms 60
     else Sim_time.ms 50
   in
-  let impls = [ Config.Indexed_queue; Config.Reference_queue ] in
-  List.concat_map
-    (fun queue_impl ->
-      let impl_str =
-        match queue_impl with
-        | Config.Indexed_queue -> "indexed"
-        | Config.Reference_queue -> "reference"
+  List.map
+    (fun n ->
+      let duration = duration_for n in
+      let t0 = Sys.time () in
+      let point =
+        match
+          Scaling.sweep ~sizes:[ n ] ~seed:11L ~duration ~engine_impl
+            ~track_graph:false ()
+        with
+        | [ p ] -> p
+        | _ -> assert false
       in
-      List.map
-        (fun n ->
-          let duration = duration_for n in
-          let t0 = Sys.time () in
-          let point =
-            match
-              Scaling.sweep ~sizes:[ n ] ~seed:11L ~duration ~engine_impl
-                ~queue_impl ~track_graph:false ()
-            with
-            | [ p ] -> p
-            | _ -> assert false
-          in
-          let cpu = Sys.time () -. t0 in
-          let rate =
-            if cpu > 0. then float_of_int point.Scaling.deliveries_total /. cpu
-            else Float.nan
-          in
-          Printf.printf
-            "  e2e %-9s n=%-3d deliveries=%-8d cpu=%6.2fs  %10.0f msg/s  \
-             peak-buf=%d msgs\n%!"
-            impl_str n point.Scaling.deliveries_total cpu rate
-            point.Scaling.peak_node_unstable_msgs;
-          Printf.sprintf
-            "    { \"impl\": %S, \"family\": \"queue\", \"group_size\": %d, \
-             \"sim_duration_ms\": %d, \
-             \"messages_sent\": %d, \"deliveries\": %d, \
-             \"cpu_seconds\": %s, \"deliveries_per_cpu_second\": %s, \
-             \"peak_node_unstable_msgs\": %d, \
-             \"peak_node_unstable_bytes\": %d, \
-             \"system_unstable_bytes\": %d, \
-             \"mean_delivery_delay_us\": %s }"
-            impl_str n
-            (Sim_time.to_us duration / 1000)
-            point.Scaling.messages_total point.Scaling.deliveries_total
-            (json_float cpu) (json_float rate)
-            point.Scaling.peak_node_unstable_msgs
-            point.Scaling.peak_node_unstable_bytes
-            point.Scaling.system_unstable_bytes
-            (json_float point.Scaling.mean_delivery_delay_us))
-        sizes)
-    impls
+      let cpu = Sys.time () -. t0 in
+      let rate =
+        if cpu > 0. then float_of_int point.Scaling.deliveries_total /. cpu
+        else Float.nan
+      in
+      Printf.printf
+        "  e2e list      n=%-3d deliveries=%-8d cpu=%6.2fs  %10.0f msg/s  \
+         peak-buf=%d msgs\n%!"
+        n point.Scaling.deliveries_total cpu rate
+        point.Scaling.peak_node_unstable_msgs;
+      Printf.sprintf
+        "    { \"impl\": \"list\", \"family\": \"queue\", \"group_size\": %d, \
+         \"sim_duration_ms\": %d, \
+         \"messages_sent\": %d, \"deliveries\": %d, \
+         \"cpu_seconds\": %s, \"deliveries_per_cpu_second\": %s, \
+         \"peak_node_unstable_msgs\": %d, \
+         \"peak_node_unstable_bytes\": %d, \
+         \"system_unstable_bytes\": %d, \
+         \"mean_delivery_delay_us\": %s }"
+        n
+        (Sim_time.to_us duration / 1000)
+        point.Scaling.messages_total point.Scaling.deliveries_total
+        (json_float cpu) (json_float rate)
+        point.Scaling.peak_node_unstable_msgs
+        point.Scaling.peak_node_unstable_bytes
+        point.Scaling.system_unstable_bytes
+        (json_float point.Scaling.mean_delivery_delay_us))
+    sizes
 
 (* The causal-implementation family: the same Section 5 workload run with
    BSS vector timestamps, PC-broadcast constant metadata and hybrid
@@ -995,14 +973,8 @@ let validate ?expect_mode ?baseline file =
       | None -> ())
     micro;
   let e2e = rows "end_to_end" in
-  (* Within the queue family both implementations run the identical
-     protocol, so their simulated deliveries must match exactly. The
-     causal family is exempt: bss and pc use different transports,
-     dissemination and forwarding, so near-horizon message counts
-     legitimately differ between them. Families are distinguished by the
-     "family" field; rows without one (pre-causal-family files) are the
-     queue family. *)
-  let by_size : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  (* Families are distinguished by the "family" field; rows without one
+     (pre-causal-family files) are the queue family. *)
   let rates : (string * int, float) Hashtbl.t = Hashtbl.create 16 in
   let peak_bytes : (string * int, int) Hashtbl.t = Hashtbl.create 16 in
   let header_means : (string, (int * float) list ref) Hashtbl.t =
@@ -1017,7 +989,7 @@ let validate ?expect_mode ?baseline file =
         | Some _ -> str_field row "family"
       in
       let size = int_field row "group_size" in
-      let deliveries = int_field row "deliveries" in
+      ignore (int_field row "deliveries");
       number_or_null row "deliveries_per_cpu_second";
       (* sub-half-second runs are scheduler noise, not a throughput
          measurement: keep them out of the baseline regression gate (the
@@ -1096,16 +1068,7 @@ let validate ?expect_mode ?baseline file =
           in
           l := (size, m) :: !l
         | None -> ()
-      end;
-      if family = "queue" then
-        match Hashtbl.find_opt by_size size with
-        | None -> Hashtbl.add by_size size deliveries
-        | Some d when d = deliveries -> ()
-        | Some d ->
-          fail
-            "group_size %d: queue implementations disagree on deliveries \
-             (%d vs %d)"
-            size d deliveries)
+      end)
     e2e;
   (* the causal family's headline claim: constant-metadata ordering (pc and
      hybrid alike) stays flat per delivery as the group grows, while bss

@@ -26,7 +26,7 @@ let escape_string buf s =
   Buffer.add_char buf '"'
 
 let float_repr f =
-  if Float.is_nan f || Float.is_integer (f /. 0.0) then "null"
+  if not (Float.is_finite f) then "null"
   else if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.1f" f
   else Printf.sprintf "%.6g" f

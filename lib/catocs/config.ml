@@ -9,8 +9,6 @@ type transport_mode =
   | Fifo_order
   | Reliable of { rto : Sim_time.t; max_retries : int }
 
-type queue_impl = Indexed_queue | Reference_queue
-
 type stability_impl = Incremental_stability | Reference_stability
 
 type causal_impl = Vector_causal | Pc_causal | Hybrid_causal
@@ -29,7 +27,6 @@ type t = {
   piggyback_history : bool;
   payload_bytes : int;
   track_graph : bool;
-  queue_impl : queue_impl;
   stability_impl : stability_impl;
   causal_impl : causal_impl;
   pc_overlay : pc_overlay;
@@ -45,7 +42,7 @@ type t = {
 let default =
   { ordering = Causal; gossip_period = Sim_time.ms 20; transport = Bare;
     failure_detection = Oracle; piggyback_history = false;
-    payload_bytes = 256; track_graph = true; queue_impl = Indexed_queue;
+    payload_bytes = 256; track_graph = true;
     stability_impl = Incremental_stability; causal_impl = Vector_causal;
     pc_overlay = Pc_full_mesh; stability_clock = Dense_clock;
     wire_format = Structural; batch_window = Sim_time.zero; metrics = false }

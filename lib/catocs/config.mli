@@ -27,15 +27,6 @@ type transport_mode =
   | Reliable of { rto : Sim_time.t; max_retries : int }
       (** positive ack + retransmission, FIFO reassembly *)
 
-type queue_impl =
-  | Indexed_queue
-      (** per-sender indexed delivery buffering, O(log senders) pops — the
-          default ({!Delivery_queue.Indexed}) *)
-  | Reference_queue
-      (** the original O(pending) list scan ({!Delivery_queue.Reference}),
-          selectable so whole-stack runs can be differentially compared
-          against the optimized path *)
-
 type stability_impl =
   | Incremental_stability
       (** per-sender deques released off cached matrix-clock minima,
@@ -123,7 +114,6 @@ type t = {
   track_graph : bool;
       (** maintain the shared active-causal-graph (Section 5 metrics);
           costs memory at large scale *)
-  queue_impl : queue_impl;  (** delivery-queue implementation selector *)
   stability_impl : stability_impl;
       (** stability-tracker implementation selector *)
   causal_impl : causal_impl;

@@ -224,13 +224,8 @@ let queue_mode (config : Config.t) =
     | Config.Fifo | Config.Total_lamport -> Delivery_queue.Fifo_gap
     | Config.Causal | Config.Total_sequencer -> Delivery_queue.Causal_full
 
-let queue_impl (config : Config.t) =
-  match config.Config.queue_impl with
-  | Config.Indexed_queue -> Delivery_queue.Indexed
-  | Config.Reference_queue -> Delivery_queue.Reference
-
 let make_queue ?obs (config : Config.t) =
-  Delivery_queue.create ~impl:(queue_impl config) ?obs (queue_mode config)
+  Delivery_queue.create ?obs (queue_mode config)
 
 let stability_impl (config : Config.t) =
   match config.Config.stability_impl with
@@ -266,8 +261,8 @@ let unstable_count t = Stability.unstable_count t.stability
 let unstable_bytes t = Stability.unstable_bytes t.stability
 let set_callbacks t callbacks = t.callbacks <- callbacks
 
-(* all three summands are maintained counters, so this is safe to call from
-   periodic metrics samplers without touching queue contents *)
+(* the total-order summands are maintained counters; the delivery-queue
+   summand walks its (short) list, so a call is O(blocked messages) *)
 let pending_count t =
   Delivery_queue.length t.queue
   + Total_order.Sequencer_queue.data_count t.seq_queue
@@ -315,8 +310,9 @@ let note_flush_end t ~view_id =
   | None -> ()
 
 (* One gauge sample per tracked quantity; wire to [Engine.every] for the
-   periodic time series the scaling experiments export. All four summands
-   are maintained counters, so a sample is O(1). *)
+   periodic time series the scaling experiments export. The other summands
+   are maintained counters, but [Delivery_queue.length] walks the queue's
+   list, so a sample costs O(blocked messages). *)
 let record_gauges t =
   if Repro_obs.Registry.enabled t.cells.registry then begin
     Repro_obs.Registry.set t.cells.g_unstable_msgs

@@ -37,7 +37,6 @@ let reaction_budget = 240
 let max_reaction_depth = 3
 
 let execute ?(engine_impl = Engine.Sequential)
-    ?(queue_impl = Config.Indexed_queue)
     ?(stability_impl = Config.Incremental_stability)
     ?(causal_impl = Config.Vector_causal)
     ?(stability_clock = Config.Dense_clock) ~seed ~ordering
@@ -61,7 +60,6 @@ let execute ?(engine_impl = Engine.Sequential)
       ordering;
       transport = Config.Reliable { rto = Sim_time.ms 10; max_retries = 400 };
       failure_detection = Config.Oracle;
-      queue_impl;
       stability_impl;
       causal_impl;
       stability_clock;
@@ -228,9 +226,9 @@ let execute ?(engine_impl = Engine.Sequential)
   in
   (oracle, survivors)
 
-let violation_of ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering plan =
+let violation_of ?engine_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering plan =
   let oracle, survivors =
-    execute ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering plan
+    execute ?engine_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering plan
   in
   match Oracle.check oracle ~ordering ~survivors with
   | Some v -> Some (v, oracle)
@@ -240,10 +238,10 @@ let violation_of ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stabilit
    fault list, then drop single faults (last first) while the plan still
    fails. Every candidate is a full deterministic re-execution, so the
    shrunk plan is guaranteed to still reproduce a violation. *)
-let shrink_plan ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering plan
+let shrink_plan ?engine_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering plan
     (v0, o0) =
   let fails faults =
-    violation_of ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering
+    violation_of ?engine_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering
       (Fault_plan.with_faults plan faults)
   in
   let faults = Array.of_list plan.Fault_plan.faults in
@@ -274,9 +272,9 @@ let make_report ~seed ~ordering ~shrunk plan (violation, oracle) =
   in
   { seed; ordering; plan; violation; trace; shrunk }
 
-let replay ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_clock ~ordering ~seed plan =
+let replay ?engine_impl ?stability_impl ?causal_impl ?stability_clock ~ordering ~seed plan =
   let oracle, survivors =
-    execute ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering plan
+    execute ?engine_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering plan
   in
   match Oracle.check oracle ~ordering ~survivors with
   | None ->
@@ -289,10 +287,10 @@ let replay ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_cloc
     Fail (make_report ~seed ~ordering ~shrunk:false plan (violation, oracle))
 
 let run_seed ?(profile = Fault_plan.default_profile) ?(shrink = true)
-    ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_clock ~ordering ~seed () =
+    ?engine_impl ?stability_impl ?causal_impl ?stability_clock ~ordering ~seed () =
   let plan = Fault_plan.generate ~seed profile in
   let oracle, survivors =
-    execute ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering plan
+    execute ?engine_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering plan
   in
   match Oracle.check oracle ~ordering ~survivors with
   | None ->
@@ -304,7 +302,7 @@ let run_seed ?(profile = Fault_plan.default_profile) ?(shrink = true)
   | Some violation ->
     if shrink then
       let plan', best =
-        shrink_plan ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering
+        shrink_plan ?engine_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering
           plan (violation, oracle)
       in
       Fail (make_report ~seed ~ordering ~shrunk:true plan' best)
@@ -318,7 +316,7 @@ type sweep_result = {
 }
 
 let sweep ?(profile = Fault_plan.default_profile) ?(shrink = true)
-    ?(start_seed = 0) ?on_seed ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_clock
+    ?(start_seed = 0) ?on_seed ?engine_impl ?stability_impl ?causal_impl ?stability_clock
     ~ordering ~seeds () =
   let rec go i acc_pass acc_s acc_d =
     if i >= seeds then
@@ -327,7 +325,7 @@ let sweep ?(profile = Fault_plan.default_profile) ?(shrink = true)
     else
       let seed = start_seed + i in
       match
-        run_seed ~profile ~shrink ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_clock
+        run_seed ~profile ~shrink ?engine_impl ?stability_impl ?causal_impl ?stability_clock
           ~ordering ~seed ()
       with
       | Pass { sends; deliveries } ->
@@ -342,9 +340,9 @@ let sweep ?(profile = Fault_plan.default_profile) ?(shrink = true)
 
 (* --- execution export for the offline analyzer ----------------------------- *)
 
-let exec_of_plan ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_clock ~ordering ~seed plan =
+let exec_of_plan ?engine_impl ?stability_impl ?causal_impl ?stability_clock ~ordering ~seed plan =
   let oracle, survivors =
-    execute ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering plan
+    execute ?engine_impl ?stability_impl ?causal_impl ?stability_clock ~seed ~ordering plan
   in
   let verdict =
     match Oracle.check oracle ~ordering ~survivors with
@@ -362,9 +360,9 @@ let exec_of_plan ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stabilit
   in
   (Oracle.to_exec oracle ~ordering ~label, verdict)
 
-let exec_of_seed ?(profile = Fault_plan.default_profile) ?engine_impl ?queue_impl
+let exec_of_seed ?(profile = Fault_plan.default_profile) ?engine_impl
     ?stability_impl ?causal_impl ?stability_clock ~ordering ~seed () =
-  exec_of_plan ?engine_impl ?queue_impl ?stability_impl ?causal_impl ?stability_clock ~ordering ~seed
+  exec_of_plan ?engine_impl ?stability_impl ?causal_impl ?stability_clock ~ordering ~seed
     (Fault_plan.generate ~seed profile)
 
 let pp_report fmt r =

@@ -31,7 +31,6 @@ val ordering_of_string : string -> Repro_catocs.Config.ordering option
 
 val replay :
   ?engine_impl:Engine.impl ->
-  ?queue_impl:Repro_catocs.Config.queue_impl ->
   ?stability_impl:Repro_catocs.Config.stability_impl ->
   ?causal_impl:Repro_catocs.Config.causal_impl ->
   ?stability_clock:Repro_catocs.Config.stability_clock ->
@@ -47,7 +46,6 @@ val run_seed :
   ?profile:Fault_plan.profile ->
   ?shrink:bool ->
   ?engine_impl:Engine.impl ->
-  ?queue_impl:Repro_catocs.Config.queue_impl ->
   ?stability_impl:Repro_catocs.Config.stability_impl ->
   ?causal_impl:Repro_catocs.Config.causal_impl ->
   ?stability_clock:Repro_catocs.Config.stability_clock ->
@@ -60,11 +58,11 @@ val run_seed :
     selects the engine execution strategy: under [Parallel] the run uses a
     sharded oracle (per-sender uid allocation) and per-member reaction
     budgets, so its verdicts are deterministic in the domain count but not
-    comparable with [Sequential] verdicts for the same seed. [queue_impl] (default [Indexed_queue])
-    selects the delivery-queue implementation the stacks run on, so the
-    same seeds can differentially exercise the optimized and reference
-    buffering paths; [stability_impl] (default [Incremental_stability]) does
-    the same for the stability tracker; [causal_impl] (default
+    comparable with [Sequential] verdicts for the same seed.
+    [stability_impl] (default [Incremental_stability]) selects the
+    stability tracker the stacks run on, so the same seeds can
+    differentially exercise the incremental and reference trackers;
+    [causal_impl] (default
     [Vector_causal]) selects the causal-delivery algorithm — BSS
     vector-timestamp piggybacking or PC-broadcast constant-metadata
     forwarding over the full mesh. *)
@@ -82,7 +80,6 @@ val sweep :
   ?start_seed:int ->
   ?on_seed:(seed:int -> ok:bool -> unit) ->
   ?engine_impl:Engine.impl ->
-  ?queue_impl:Repro_catocs.Config.queue_impl ->
   ?stability_impl:Repro_catocs.Config.stability_impl ->
   ?causal_impl:Repro_catocs.Config.causal_impl ->
   ?stability_clock:Repro_catocs.Config.stability_clock ->
@@ -95,7 +92,6 @@ val sweep :
 
 val exec_of_plan :
   ?engine_impl:Engine.impl ->
-  ?queue_impl:Repro_catocs.Config.queue_impl ->
   ?stability_impl:Repro_catocs.Config.stability_impl ->
   ?causal_impl:Repro_catocs.Config.causal_impl ->
   ?stability_clock:Repro_catocs.Config.stability_clock ->
@@ -110,7 +106,6 @@ val exec_of_plan :
 val exec_of_seed :
   ?profile:Fault_plan.profile ->
   ?engine_impl:Engine.impl ->
-  ?queue_impl:Repro_catocs.Config.queue_impl ->
   ?stability_impl:Repro_catocs.Config.stability_impl ->
   ?causal_impl:Repro_catocs.Config.causal_impl ->
   ?stability_clock:Repro_catocs.Config.stability_clock ->

@@ -39,7 +39,6 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
     ?(processing_time = Sim_time.zero)
     ?(duration = Sim_time.seconds 1) ?(send_period = Sim_time.ms 10)
     ?gossip_period
-    ?(queue_impl = Config.Indexed_queue)
     ?(stability_impl = Config.Incremental_stability)
     ?(causal_impl = Config.Vector_causal)
     ?(stability_clock = Config.Dense_clock)
@@ -68,7 +67,7 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
        insensitive to reordering, so it keeps the bare baseline. *)
     Config.with_causal_impl causal_impl
       { Config.default with
-        Config.ordering = Config.Causal; queue_impl; stability_impl;
+        Config.ordering = Config.Causal; stability_impl;
         stability_clock; pc_overlay; track_graph; metrics;
         wire_format =
           Option.value wire_format ~default:Config.default.Config.wire_format;
@@ -189,13 +188,13 @@ let measure_with_graph ?(engine_impl = Engine.Sequential) ?obs
 
 let sweep ?(sizes = [ 4; 8; 16; 32; 48 ]) ?(seed = 11L) ?engine_impl
     ?processing_time
-    ?duration ?send_period ?gossip_period ?queue_impl ?stability_impl
+    ?duration ?send_period ?gossip_period ?stability_impl
     ?causal_impl ?stability_clock ?pc_overlay ?track_graph
     ?metrics ?wire_format ?batch_window () =
   List.map
     (fun n ->
       measure_with_graph ?engine_impl ?processing_time ?duration ?send_period
-        ?gossip_period ?queue_impl ?stability_impl ?causal_impl
+        ?gossip_period ?stability_impl ?causal_impl
         ?stability_clock ?pc_overlay ?track_graph
         ?metrics ?wire_format ?batch_window ~seed n)
     sizes

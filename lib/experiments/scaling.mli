@@ -65,7 +65,6 @@ val measure_with_graph :
   ?duration:Sim_time.t ->
   ?send_period:Sim_time.t ->
   ?gossip_period:Sim_time.t ->
-  ?queue_impl:Repro_catocs.Config.queue_impl ->
   ?stability_impl:Repro_catocs.Config.stability_impl ->
   ?causal_impl:Repro_catocs.Config.causal_impl ->
   ?stability_clock:Repro_catocs.Config.stability_clock ->
@@ -96,7 +95,6 @@ val sweep :
   ?processing_time:Sim_time.t ->
   ?duration:Sim_time.t -> ?send_period:Sim_time.t ->
   ?gossip_period:Sim_time.t ->
-  ?queue_impl:Repro_catocs.Config.queue_impl ->
   ?stability_impl:Repro_catocs.Config.stability_impl ->
   ?causal_impl:Repro_catocs.Config.causal_impl ->
   ?stability_clock:Repro_catocs.Config.stability_clock ->
@@ -108,9 +106,8 @@ val sweep :
 (** [duration] bounds the send phase (default 1 simulated second);
     [send_period] is the per-process multicast period (default 10 ms);
     [gossip_period] overrides the stability-gossip period (large sweeps
-    slow it down to bound the n^2 gossip volume); [queue_impl] selects the
-    delivery-queue implementation under test, and [stability_impl] the
-    stability tracker; [causal_impl] selects BSS vector timestamps or
+    slow it down to bound the n^2 gossip volume); [stability_impl] selects
+    the stability tracker; [causal_impl] selects BSS vector timestamps or
     PC-broadcast constant metadata (PC runs switch the transport to
     [Fifo_order] and disseminate over [pc_overlay]); [track_graph] can be
     disabled to exclude shared-graph bookkeeping from throughput

@@ -3,14 +3,12 @@ open Parsetree
 let config_path = "lib/catocs/config.ml"
 
 let dispatch_types =
-  [ "causal_impl"; "stability_impl"; "queue_impl"; "stability_clock" ]
+  [ "causal_impl"; "stability_impl"; "stability_clock" ]
 
-(* The delivery queue and the stability tracker carry their own module-level
-   dispatch constructors (the established impl/reference pattern); using
-   those counts as exercising the corresponding Config variant. *)
+(* The stability tracker carries its own module-level dispatch constructors
+   (the impl/reference pattern); using those counts as exercising the
+   corresponding Config variant. *)
 let aliases = function
-  | "Indexed_queue" -> [ [ "Delivery_queue"; "Indexed" ] ]
-  | "Reference_queue" -> [ [ "Delivery_queue"; "Reference" ] ]
   | "Incremental_stability" -> [ [ "Stability"; "Incremental" ] ]
   | "Reference_stability" -> [ [ "Stability"; "Reference" ] ]
   | _ -> []

@@ -7,13 +7,12 @@
       must be referenced by at least one file under [test/] — a hook whose
       fault is never convicted is dead armour;
     - every constructor of [Config]'s dispatch types ([causal_impl],
-      [stability_impl], [queue_impl], [stability_clock]) must appear in
-      each of three families: check-runner ([lib/check/] + [bin/check_cli.ml]
-      + [test/test_check.ml]), scaling ([lib/experiments/] +
-      [test/test_experiments.ml]) and bench ([bench/]). The delivery queue's
-      and stability tracker's own [Indexed]/[Incremental]/[Reference]
-      dispatch constructors count as aliases for the corresponding Config
-      variants. *)
+      [stability_impl], [stability_clock]) must appear in each of three
+      families: check-runner ([lib/check/] + [bin/check_cli.ml] +
+      [test/test_check.ml]), scaling ([lib/experiments/] +
+      [test/test_experiments.ml]) and bench ([bench/]). The stability
+      tracker's own [Incremental]/[Reference] dispatch constructors count
+      as aliases for the corresponding Config variants. *)
 
 val config_path : string
 val dispatch_types : string list

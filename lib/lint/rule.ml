@@ -146,8 +146,8 @@ let catalog =
       kind = Finding.Contract_violation;
       doc =
         "A Config dispatch variant (causal_impl, stability_impl, \
-         queue_impl, stability_clock) does not appear in one of the \
-         checker, scaling or bench families.";
+         stability_clock) does not appear in one of the checker, scaling \
+         or bench families.";
     };
     {
       id = "metric-coverage";

@@ -47,12 +47,24 @@ let test_json_roundtrip () =
         ("c", Json.Float 1.5);
         ("empty", Json.Obj []) ]
   in
-  match Json.of_string (Json.to_string value) with
+  (match Json.of_string (Json.to_string value) with
   | Ok parsed ->
     check_bool "roundtrip equal" true (parsed = value);
     check_string "deterministic emission" (Json.to_string value)
       (Json.to_string parsed)
-  | Error e -> Alcotest.failf "roundtrip parse failed: %s" e
+  | Error e -> Alcotest.failf "roundtrip parse failed: %s" e);
+  (* JSON has no literal for a non-finite float: it must emit [null] *)
+  List.iter
+    (fun f ->
+      let emitted = Json.to_string (Json.Arr [ Json.Float f ]) in
+      match Json.of_string emitted with
+      | Ok parsed ->
+        check_bool
+          (Printf.sprintf "%h parses back as null" f)
+          true
+          (parsed = Json.Arr [ Json.Null ])
+      | Error e -> Alcotest.failf "%h emitted %s: %s" f emitted e)
+    [ infinity; neg_infinity; nan ]
 
 let test_json_errors () =
   List.iter

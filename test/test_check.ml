@@ -24,8 +24,10 @@ let check_string = Alcotest.(check string)
    and the oracles must find no violation. *)
 let sweep_seeds = 100
 
-let test_sweep ?queue_impl ?causal_impl ordering () =
-  let result = Runner.sweep ?queue_impl ?causal_impl ~ordering ~seeds:sweep_seeds () in
+let test_sweep ?start_seed ?causal_impl ordering () =
+  let result =
+    Runner.sweep ?start_seed ?causal_impl ~ordering ~seeds:sweep_seeds ()
+  in
   (match result.Runner.failed with
   | None -> ()
   | Some report ->
@@ -33,10 +35,10 @@ let test_sweep ?queue_impl ?causal_impl ordering () =
   check_int "all seeds passed" sweep_seeds result.Runner.passed;
   check_bool "traffic flowed" true (result.Runner.total_deliveries > 0)
 
-(* The same seed sweeps against the reference (single-list) delivery queue:
-   the oracles must hold for both implementations of the buffering path. *)
-let test_sweep_reference ordering () =
-  test_sweep ~queue_impl:Config.Reference_queue ordering ()
+(* The next hundred seeds (100-199): fresh fault plans for the same
+   oracles, so the delivery queue's buffering path meets twice the plans. *)
+let test_sweep_next_block ordering () =
+  test_sweep ~start_seed:sweep_seeds ordering ()
 
 (* The PC-broadcast causal implementation under the full fault battery:
    same oracles, same 100 seeds. Only the causal layer dispatches on it,
@@ -63,29 +65,47 @@ let test_deterministic_verdicts () =
         [ 0; 7; 42 ])
     Runner.orderings
 
+(* Verdict fingerprints for seeds 0-9 under every ordering, then for the
+   pc causal stack, recorded in [golden/queue_fingerprints.txt] while the
+   stacks still buffered through a per-sender indexed delivery queue. The
+   list queue must reproduce every line. *)
+let queue_golden = "golden/queue_fingerprints.txt"
+
+(* Under [dune runtest] the cwd is the test directory; under [dune exec]
+   from the project root the golden lives one level down. *)
+let golden_lines =
+  lazy
+    (In_channel.with_open_bin
+       (if Sys.file_exists queue_golden then queue_golden
+        else Filename.concat "test" queue_golden)
+       In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> ""))
+
+let fingerprint_line name seed verdict =
+  Printf.sprintf "%s seed=%d %s" name seed (Runner.fingerprint verdict)
+
+let pc_fingerprint_line ?stability_impl seed =
+  fingerprint_line "pc" seed
+    (Runner.run_seed ?stability_impl ~causal_impl:Config.Pc_causal
+       ~ordering:Config.Causal ~seed ())
+
+let check_golden_line line =
+  if not (List.mem line (Lazy.force golden_lines)) then
+    Alcotest.failf "%s: not in %s" line queue_golden
+
 let test_cross_impl_verdicts () =
-  (* Indexed and reference queues are whole-stack equivalent: the same seed
-     produces a byte-identical verdict fingerprint (sends, deliveries, and
-     any violation) under either implementation, for every ordering mode. *)
-  List.iter
-    (fun (name, ordering) ->
-      List.iter
-        (fun seed ->
-          let indexed =
-            Runner.fingerprint
-              (Runner.run_seed ~queue_impl:Config.Indexed_queue ~ordering
-                 ~seed ())
-          in
-          let reference =
-            Runner.fingerprint
-              (Runner.run_seed ~queue_impl:Config.Reference_queue ~ordering
-                 ~seed ())
-          in
-          check_string
-            (Printf.sprintf "%s seed %d cross-impl" name seed)
-            indexed reference)
-        (List.init 10 Fun.id))
-    Runner.orderings
+  let actual =
+    List.concat_map
+      (fun (name, ordering) ->
+        List.init 10 (fun seed ->
+            fingerprint_line name seed (Runner.run_seed ~ordering ~seed ())))
+      Runner.orderings
+    @ List.init 10 (fun seed -> pc_fingerprint_line seed)
+  in
+  check_int "golden lines" (List.length (Lazy.force golden_lines))
+    (List.length actual);
+  List.iter check_golden_line actual
 
 let test_cross_stability_verdicts () =
   (* The incremental and reference stability trackers are whole-stack
@@ -131,34 +151,20 @@ let test_pc_deterministic_verdicts () =
     [ 0; 7; 42 ]
 
 let test_pc_cross_impl_verdicts () =
-  (* Within the PC family the queue and stability implementations are still
-     whole-stack interchangeable: byte-identical fingerprints. (Vector vs
-     pc fingerprints are deliberately NOT compared byte-for-byte — relayed
-     copies shift delivery instants, so only verdict agreement is specified;
-     see test_vector_pc_agreement.) *)
+  (* Within the PC family the stability implementations are still
+     whole-stack interchangeable: byte-identical fingerprints, and the
+     incremental run matches its golden queue line. (Vector vs pc
+     fingerprints are deliberately NOT compared byte-for-byte — relayed
+     copies shift delivery instants, so only verdict agreement is
+     specified; see test_vector_pc_agreement.) *)
   List.iter
     (fun seed ->
-      let indexed =
-        Runner.fingerprint
-          (Runner.run_seed ~queue_impl:Config.Indexed_queue
-             ~causal_impl:Config.Pc_causal ~ordering:Config.Causal ~seed ())
-      in
-      let reference =
-        Runner.fingerprint
-          (Runner.run_seed ~queue_impl:Config.Reference_queue
-             ~causal_impl:Config.Pc_causal ~ordering:Config.Causal ~seed ())
-      in
-      check_string (Printf.sprintf "pc seed %d cross-queue" seed) indexed
-        reference;
       let incremental =
-        Runner.fingerprint
-          (Runner.run_seed ~stability_impl:Config.Incremental_stability
-             ~causal_impl:Config.Pc_causal ~ordering:Config.Causal ~seed ())
+        pc_fingerprint_line ~stability_impl:Config.Incremental_stability seed
       in
+      check_golden_line incremental;
       let ref_stab =
-        Runner.fingerprint
-          (Runner.run_seed ~stability_impl:Config.Reference_stability
-             ~causal_impl:Config.Pc_causal ~ordering:Config.Causal ~seed ())
+        pc_fingerprint_line ~stability_impl:Config.Reference_stability seed
       in
       check_string
         (Printf.sprintf "pc seed %d cross-stability" seed)
@@ -570,7 +576,7 @@ let () =
           (fun (name, ordering) ->
             Alcotest.test_case
               (Printf.sprintf "%s %d seeds clean" name sweep_seeds)
-              `Slow (test_sweep_reference ordering))
+              `Slow (test_sweep_next_block ordering))
           Runner.orderings );
       ( "sweeps-pc",
         [

@@ -81,28 +81,21 @@ let test_scaling_load_grows_transit () =
       (big.E.Scaling.mean_transit_us > small.E.Scaling.mean_transit_us)
   | _ -> Alcotest.fail "expected two points"
 
-(* The reference delivery queue and reference stability tracker stay live
-   scaling options (repro-lint's dispatch-coverage contract pins this):
-   the same workload over reference impls must deliver exactly as much as
-   over the production ones. *)
+(* The reference stability tracker stays a live scaling option
+   (repro-lint's dispatch-coverage contract pins this): the same workload
+   over it must deliver exactly as much as over the incremental one. *)
 let test_scaling_reference_impls_agree () =
-  let measure ~queue_impl ~stability_impl =
+  let measure stability_impl =
     E.Scaling.measure_with_graph ~duration:(Sim_time.ms 200) ~seed:7L
-      ~queue_impl ~stability_impl ~track_graph:false 4
+      ~stability_impl ~track_graph:false 4
   in
-  let indexed =
-    measure ~queue_impl:Repro_catocs.Config.Indexed_queue
-      ~stability_impl:Repro_catocs.Config.Incremental_stability
-  in
-  let reference =
-    measure ~queue_impl:Repro_catocs.Config.Reference_queue
-      ~stability_impl:Repro_catocs.Config.Reference_stability
-  in
+  let incremental = measure Repro_catocs.Config.Incremental_stability in
+  let reference = measure Repro_catocs.Config.Reference_stability in
   check_bool "reference run delivers" true
     (reference.E.Scaling.deliveries_total > 0);
-  check_int "same app deliveries" indexed.E.Scaling.app_deliveries_total
+  check_int "same app deliveries" incremental.E.Scaling.app_deliveries_total
     reference.E.Scaling.app_deliveries_total;
-  check_int "same messages" indexed.E.Scaling.messages_total
+  check_int "same messages" incremental.E.Scaling.messages_total
     reference.E.Scaling.messages_total
 
 (* --- false causality ----------------------------------------------------------- *)

@@ -1,13 +1,14 @@
-(* Differential property tests: the indexed delivery queue must be
-   observationally identical to the reference single-list implementation —
-   same take results (oldest deliverable arrival first), same lengths after
-   every operation, same drain order — for arbitrary interleavings of
-   add / take_deliverable / drain / external clock advances, in every
-   delivery-condition mode, including duplicate sequence numbers and the
-   chaos fault-injection flag the mutation tests rely on. A cross-mode
-   property pins [Origin_gap] on decoded PC records (sequence in
-   [origin_seq], all-zero [vt]) to [Fifo_gap] on the sparse stamps the PC
-   stack used to gate on. *)
+(* Differential property tests: the delivery queue must be observationally
+   identical to a test-local model of its contract — an arrival-ordered
+   array whose take returns the first entry whose delivery condition holds.
+   Same take results, same lengths after every operation, same drain order,
+   for arbitrary interleavings of add / take_deliverable / drain / external
+   clock advances, in every delivery-condition mode, including duplicate
+   sequence numbers and the chaos fault-injection flag the mutation tests
+   rely on. Any faster queue must keep this property. A cross-mode property
+   pins [Origin_gap] on decoded PC records (sequence in [origin_seq],
+   all-zero [vt]) to [Fifo_gap] on the sparse stamps the PC stack used to
+   gate on. *)
 
 module DQ = Repro_catocs.Delivery_queue
 module Wire = Repro_catocs.Wire
@@ -54,11 +55,67 @@ let advance_sender local (d : int Wire.data) =
   let r = d.Wire.sender_rank in
   Vector_clock.set local r (max (Vector_clock.get local r) (Wire.sender_seq d))
 
+(* The model, the contract any queue must keep: arrival order in an array,
+   and a take removes the first entry whose condition holds, spelled out
+   from the [DQ.mode] docs rather than shared with the queue. *)
+module Model = struct
+  type t = { mode : DQ.mode; mutable items : int DQ.pending array }
+
+  let holds mode ~local ({ DQ.data = d; _ } : int DQ.pending) =
+    let r = d.Wire.sender_rank and vt = d.Wire.vt in
+    let next = Vector_clock.get local r + 1 in
+    match mode with
+    | DQ.Origin_gap -> Wire.sender_seq d = next
+    | DQ.Fifo_gap -> Vector_clock.get vt r = next
+    | DQ.Causal_full when !DQ.chaos_disable_causal_check ->
+      Vector_clock.get vt r = next
+    | DQ.Causal_full -> Vector_clock.deliverable ~sender:r ~msg:vt ~local
+
+  let take t ~local =
+    Array.find_index (holds t.mode ~local) t.items
+    |> Option.map (fun i ->
+           let n = Array.length t.items and p = t.items.(i) in
+           t.items <- Array.append (Array.sub t.items 0 i)
+                        (Array.sub t.items (i + 1) (n - i - 1));
+           p)
+end
+
+(* One side of a lockstep comparison: the queue under test or the model. *)
+type queue = Real of int DQ.t | Model of Model.t
+
+let q_add q p =
+  match q with
+  | Real q -> DQ.add q p
+  | Model m -> m.Model.items <- Array.append m.Model.items [| p |]
+
+let q_length = function
+  | Real q -> DQ.length q
+  | Model m -> Array.length m.Model.items
+
+let q_take q ~local =
+  match q with
+  | Real q -> DQ.take_deliverable q ~local
+  | Model m -> Model.take m ~local
+
+let q_to_list = function
+  | Real q -> DQ.to_list q
+  | Model m -> Array.to_list m.Model.items
+
+let q_drain = function
+  | Real q -> DQ.drain q
+  | Model m ->
+    let all = Array.to_list m.Model.items in
+    m.Model.items <- [||];
+    all
+
 type side = {
-  impl : DQ.impl;
+  make : DQ.mode -> queue;
   mode : DQ.mode;
   stamp : msg_id:int -> rank:int -> vt:int list -> int DQ.pending;
 }
+
+let real mode = Real (DQ.create mode)
+let model mode = Model { Model.mode; items = [||] }
 
 let ids ps = List.map (fun (p : int DQ.pending) -> p.DQ.data.Wire.msg_id) ps
 
@@ -73,14 +130,14 @@ let show_take = function
    first observable divergence. [advance] mirrors the stack's clock update
    after a delivery. *)
 let run_pair ~advance a b n ops =
-  let qa = DQ.create ~impl:a.impl a.mode in
-  let qb = DQ.create ~impl:b.impl b.mode in
+  let qa = a.make a.mode in
+  let qb = b.make b.mode in
   let local = Vector_clock.create n in
   let next_id = ref 0 in
   let check_lengths ctx =
-    if DQ.length qa <> DQ.length qb then
-      QCheck.Test.fail_reportf "%s: length a=%d b=%d" ctx (DQ.length qa)
-        (DQ.length qb)
+    if q_length qa <> q_length qb then
+      QCheck.Test.fail_reportf "%s: length a=%d b=%d" ctx (q_length qa)
+        (q_length qb)
   in
   Fun.protect
     ~finally:(fun () -> DQ.chaos_disable_causal_check := false)
@@ -93,12 +150,11 @@ let run_pair ~advance a b n ops =
         (* keep the sender's own component >= 1 so deliverable messages
            actually occur; other components stay arbitrary *)
         let vt = List.mapi (fun i v -> if i = rank then max 1 v else v) comps in
-        DQ.add qa (a.stamp ~msg_id:!next_id ~rank ~vt);
-        DQ.add qb (b.stamp ~msg_id:!next_id ~rank ~vt);
+        q_add qa (a.stamp ~msg_id:!next_id ~rank ~vt);
+        q_add qb (b.stamp ~msg_id:!next_id ~rank ~vt);
         check_lengths "add"
       | Take ->
-        (match (DQ.take_deliverable qa ~local, DQ.take_deliverable qb ~local)
-         with
+        (match (q_take qa ~local, q_take qb ~local) with
         | None, None -> ()
         | Some x, Some y
           when x.DQ.data.Wire.msg_id = y.DQ.data.Wire.msg_id ->
@@ -110,24 +166,24 @@ let run_pair ~advance a b n ops =
         check_lengths "take"
       | Bump c -> Vector_clock.set local c (Vector_clock.get local c + 1)
       | Drain ->
-        let da = ids (DQ.drain qa) and db = ids (DQ.drain qb) in
+        let da = ids (q_drain qa) and db = ids (q_drain qb) in
         if da <> db then
           QCheck.Test.fail_reportf "drain mismatch: a=[%s] b=[%s]"
             (show_ids da) (show_ids db);
         check_lengths "drain"
       | Chaos flag -> DQ.chaos_disable_causal_check := flag)
     ops;
-  let la = ids (DQ.to_list qa) and lb = ids (DQ.to_list qb) in
+  let la = ids (q_to_list qa) and lb = ids (q_to_list qb) in
   if la <> lb then
     QCheck.Test.fail_reportf "to_list mismatch: a=[%s] b=[%s]" (show_ids la)
       (show_ids lb);
-  let da = ids (DQ.drain qa) and db = ids (DQ.drain qb) in
+  let da = ids (q_drain qa) and db = ids (q_drain qb) in
   if da <> db then
     QCheck.Test.fail_reportf "final drain mismatch: a=[%s] b=[%s]"
       (show_ids da) (show_ids db);
   true
 
-(* indexed vs reference in one mode, on that mode's record family *)
+(* queue vs model in one mode, on that mode's record family *)
 let run_equiv mode n ops =
   let stamp, advance =
     match mode with
@@ -135,8 +191,8 @@ let run_equiv mode n ops =
     | DQ.Fifo_gap | DQ.Causal_full -> (mk_vector, merge_vector)
   in
   run_pair ~advance
-    { impl = DQ.Indexed; mode; stamp }
-    { impl = DQ.Reference; mode; stamp }
+    { make = real; mode; stamp }
+    { make = model; mode; stamp }
     n ops
 
 let gen_ops n =
@@ -165,7 +221,7 @@ let equiv_test mode mode_name =
     (fun (n, ops) -> run_equiv mode n ops)
 
 (* The PC stack's switch from [Fifo_gap] on sparse stamps to [Origin_gap]
-   on [origin_seq] must not change one delivery: both indexed queues, same
+   on [origin_seq] must not change one delivery: two queues, same
    interleavings, records built from the same stamps. *)
 let test_origin_gap_matches_fifo_gap =
   QCheck.Test.make
@@ -173,13 +229,13 @@ let test_origin_gap_matches_fifo_gap =
     ~count:300 (QCheck.make gen_case)
     (fun (n, ops) ->
       run_pair ~advance:advance_sender
-        { impl = DQ.Indexed; mode = DQ.Origin_gap; stamp = mk_decoded_pc }
-        { impl = DQ.Indexed; mode = DQ.Fifo_gap; stamp = mk_sparse_pc }
+        { make = real; mode = DQ.Origin_gap; stamp = mk_decoded_pc }
+        { make = real; mode = DQ.Fifo_gap; stamp = mk_sparse_pc }
         n ops)
 
 (* Directed regression: a per-sender gap that fills late, duplicate sequence
-   numbers, and an out-of-band clock advance — the specific wake paths the
-   indexed implementation must get right. *)
+   numbers, and an out-of-band clock advance — the specific wake paths any
+   queue implementation must get right. *)
 let test_directed_gap_fill () =
   let ok =
     run_equiv DQ.Causal_full 3
